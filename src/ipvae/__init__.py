@@ -11,7 +11,6 @@ from .analysis import (
     DensityChart,
     SnrHistogram,
     SweepRow,
-    denoise,
     denoise_all,
     density_chart,
     dlc_difference,
@@ -23,7 +22,7 @@ from .analysis import (
 )
 from .data import (
     DecayFormatError,
-    IpDecay,
+    DecaySet,
     SyntheticSpec,
     WindowScheme,
     average_chargeability,
@@ -34,11 +33,10 @@ from .data import (
     write_decays,
 )
 from .filters import (
-    FilterSpec,
     butterworth_lowpass,
     exponential_moving_average,
     moving_average,
-    tune,
+    tune_batch,
 )
 from .vae import (
     LossReport,
@@ -50,7 +48,7 @@ from .vae import (
     load,
     loss,
     reparametrize,
-    sample,
+    sample_matrix,
     save,
     train,
     train_new,
@@ -60,10 +58,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayFormatError",
+    "DecaySet",
     "DenoiseResult",
     "DensityChart",
-    "FilterSpec",
-    "IpDecay",
     "LossReport",
     "SnrHistogram",
     "SweepRow",
@@ -76,7 +73,6 @@ __all__ = [
     "butterworth_lowpass",
     "contaminate",
     "decode",
-    "denoise",
     "denoise_all",
     "density_chart",
     "dlc_difference",
@@ -92,12 +88,12 @@ __all__ = [
     "read_decays",
     "reparametrize",
     "rmse",
-    "sample",
+    "sample_matrix",
     "save",
     "survey_snr_histogram",
     "synthesize_corpus",
     "train",
     "train_new",
-    "tune",
+    "tune_batch",
     "write_decays",
 ]

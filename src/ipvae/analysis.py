@@ -15,7 +15,7 @@ import numpy as np
 
 from . import filters as flt
 from . import vae as vae_mod
-from .data import IpDecay, decays_to_matrix
+from .data import average_chargeability
 from .vae import TrainConfig, VaeModel
 
 DEFAULT_OUTLIER_THRESHOLD = 1.0  # mV/V
@@ -27,14 +27,15 @@ BENCH_METHODS = ("none", "ip_vae", "ma", "ema", "butterworth")
 
 @dataclass
 class DenoiseResult:
-    """Median reconstruction with its 95% band and quality metrics."""
+    """Median reconstructions with their 95% bands, (n, d) each, and the
+    per-decay quality metrics, (n,) each."""
 
     median: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    rmse: float
-    peak_snr: float
-    outlier: bool
+    rmse: np.ndarray
+    peak_snr: np.ndarray
+    outlier: np.ndarray
 
 
 @dataclass
@@ -134,59 +135,34 @@ def denoise_matrix(
     return med, lo, hi
 
 
-def denoise(
+def denoise_all(
     model: VaeModel,
-    decay: IpDecay,
+    values: np.ndarray,
     n_realizations: int = 100,
     threshold: float = DEFAULT_OUTLIER_THRESHOLD,
     rng: np.random.Generator | int = 0,
 ) -> DenoiseResult:
-    """Bayesian denoising of one decay with reconstruction uncertainty.
+    """Bayesian denoising of each row of (n, d) ``values`` with
+    reconstruction uncertainty.
 
     The outlier flag is the reconstruction-RMSE rule: inputs farther than
     ``threshold`` (mV/V) from their median reconstruction are flagged.
     """
-    med, lo, hi = denoise_matrix(model, decay.windows, n_realizations, rng)
-    med, lo, hi = med[0], lo[0], hi[0]
-    err = rmse(decay.windows, med)
-    snr = peak_snr(decay.windows, med)
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    med, lo, hi = denoise_matrix(model, values, n_realizations, rng)
+    errs = rmse_rows(values, med)
     return DenoiseResult(
         median=med,
         ci_low=lo,
         ci_high=hi,
-        rmse=err,
-        peak_snr=snr,
-        outlier=bool(err > threshold),
+        rmse=errs,
+        peak_snr=_peak_snr_rows(values, med),
+        outlier=errs > threshold,
     )
 
 
-def denoise_all(
-    model: VaeModel,
-    decays: list[IpDecay],
-    n_realizations: int = 100,
-    threshold: float = DEFAULT_OUTLIER_THRESHOLD,
-    rng: np.random.Generator | int = 0,
-) -> list[DenoiseResult]:
-    """Vectorized denoising of a batch; one DenoiseResult per input decay."""
-    values = decays_to_matrix(decays)
-    med, lo, hi = denoise_matrix(model, values, n_realizations, rng)
-    errs = rmse_rows(values, med)
-    snrs = _peak_snr_rows(values, med)
-    return [
-        DenoiseResult(
-            median=med[i],
-            ci_low=lo[i],
-            ci_high=hi[i],
-            rmse=float(errs[i]),
-            peak_snr=float(snrs[i]),
-            outlier=bool(errs[i] > threshold),
-        )
-        for i in range(len(decays))
-    ]
-
-
 def survey_snr_histogram(
-    decays: list[IpDecay],
+    values: np.ndarray,
     model: VaeModel,
     bin_width_db: float = 1.0,
     n_realizations: int = 100,
@@ -198,12 +174,11 @@ def survey_snr_histogram(
     width; perfect reconstructions (infinite S/N) are counted separately so
     the histogram total still equals the survey size.
     """
-    if not decays:
+    if len(values) == 0:
         raise ValueError("empty decay set")
     if bin_width_db <= 0:
         raise ValueError(f"bin_width_db must be > 0, got {bin_width_db}")
-    results = denoise_all(model, decays, n_realizations=n_realizations, rng=rng)
-    snrs = np.asarray([r.peak_snr for r in results])
+    snrs = denoise_all(model, values, n_realizations=n_realizations, rng=rng).peak_snr
     finite = snrs[np.isfinite(snrs)]
     inf_count = int(np.sum(~np.isfinite(snrs)))
     if finite.size == 0:
@@ -230,7 +205,7 @@ def density_range(values: np.ndarray, coverage: float = DENSITY_COVERAGE) -> tup
 
 
 def density_chart(
-    decays: list[IpDecay] | np.ndarray,
+    values: np.ndarray,
     bins: int = DENSITY_BINS,
     amplitude_range: tuple[float, float] | None = None,
 ) -> DensityChart:
@@ -239,7 +214,6 @@ def density_chart(
     Out-of-range amplitudes are clipped into the edge bins so every column
     of a non-empty population sums to exactly 1.
     """
-    values = decays if isinstance(decays, np.ndarray) else decays_to_matrix(decays)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -269,15 +243,14 @@ def dlc_difference(a: DensityChart, b: DensityChart) -> float:
 
 
 def latent_chargeability_correlation(
-    model: VaeModel, decays: list[IpDecay]
+    model: VaeModel, values: np.ndarray
 ) -> np.ndarray:
     """Pearson r between each latent mean coordinate and the average
-    chargeability, across the corpus."""
-    if len(decays) < 3:
+    chargeability, across the rows of an (n, d) corpus."""
+    if len(values) < 3:
         raise ValueError("need at least 3 decays for a correlation")
-    values = decays_to_matrix(decays)
     mu, _ = vae_mod.encode(model, values)
-    m_bar = values.mean(axis=1)
+    m_bar = average_chargeability(values)
     if np.std(m_bar) == 0.0:
         raise ValueError("average chargeability has zero variance")
     out = np.empty(model.latent_dim)
@@ -302,13 +275,14 @@ def loss_at_convergence(
 
 
 def latent_sweep(
-    corpus: list[IpDecay] | np.ndarray,
+    values: np.ndarray,
     ks: tuple[int, ...] = (1, 2, 4, 6),
     config: TrainConfig | None = None,
     n_realizations: int = 100,
     return_models: bool = False,
 ):
-    """Train one model per latent width with shared seed/config and compare.
+    """Train one model per latent width on the (n, d) corpus ``values``,
+    with shared seed/config, and compare.
 
     Each row reports the converged loss terms, the training-set mean peak
     S/N and RMSE of the median reconstructions, and the density-chart
@@ -317,7 +291,6 @@ def latent_sweep(
     """
     if config is None:
         config = TrainConfig(seed=0)
-    values = corpus if isinstance(corpus, np.ndarray) else decays_to_matrix(corpus)
     if values.shape[0] == 0:
         raise ValueError("corpus must be non-empty")
     corpus_range = density_range(values)
@@ -403,17 +376,3 @@ def fitted_slope(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-
-
-def outlier_flags(
-    model: VaeModel,
-    decays: list[IpDecay],
-    threshold: float = DEFAULT_OUTLIER_THRESHOLD,
-    n_realizations: int = 100,
-    rng: np.random.Generator | int = 0,
-) -> np.ndarray:
-    """Boolean outlier flag per decay (reconstruction RMSE above threshold)."""
-    results = denoise_all(
-        model, decays, n_realizations=n_realizations, threshold=threshold, rng=rng
-    )
-    return np.asarray([r.outlier for r in results])

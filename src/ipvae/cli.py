@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, analysis
 from . import data as data_mod
 from . import vae as vae_mod
-from .data import DecayFormatError, SyntheticSpec, WindowScheme, decays_to_matrix
+from .data import DecayFormatError, DecaySet, SyntheticSpec, WindowScheme, atomic_open
 from .vae import ModelFileError, TrainConfig, TrainingDivergedError
 
 EXIT_VALIDATION = 3
@@ -43,15 +43,14 @@ def _fmt(value) -> str:
 
 
 def _write_rows(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -120,8 +119,8 @@ def cmd_synth(args) -> int:
     )
     truth, noisy = data_mod.synthesize_corpus(spec)
     out = _out_dir(args)
-    data_mod.write_decays(truth, os.path.join(out, "ground_truth.csv"))
-    data_mod.write_decays(noisy, os.path.join(out, "contaminated.csv"))
+    data_mod.write_decays(DecaySet(truth, scheme), os.path.join(out, "ground_truth.csv"))
+    data_mod.write_decays(DecaySet(noisy, scheme), os.path.join(out, "contaminated.csv"))
     _echo_config(out, "synth", args)
     print(f"synth: wrote {spec.n} decay pairs to {out}")
     return 0
@@ -138,7 +137,7 @@ def cmd_train(args) -> int:
         latent_dim=args.latent,
         standardize=not args.no_standardize,
     )
-    model, reports = vae_mod.train_new(decays_to_matrix(corpus), config)
+    model, reports = vae_mod.train_new(corpus.values, config)
     out = _out_dir(args)
     model_path = os.path.join(out, "model.ipvae")
     vae_mod.save(model, model_path)
@@ -169,10 +168,10 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     model = vae_mod.load(args.model)
-    decays = data_mod.read_decays(args.input)
-    results = analysis.denoise_all(
+    values = data_mod.read_decays(args.input).values
+    res = analysis.denoise_all(
         model,
-        decays,
+        values,
         n_realizations=args.realizations,
         threshold=args.threshold,
         rng=args.seed,
@@ -185,29 +184,29 @@ def cmd_denoise(args) -> int:
         + [f"hi_m{j + 1}" for j in range(d)]
     )
     rows = (
-        [i, r.rmse, r.peak_snr, r.outlier]
-        + list(r.median)
-        + list(r.ci_low)
-        + list(r.ci_high)
-        for i, r in enumerate(results)
+        [i, err, snr, flag, *med, *lo, *hi]
+        for i, (err, snr, flag, med, lo, hi) in enumerate(zip(
+            res.rmse.tolist(), res.peak_snr.tolist(), res.outlier.tolist(),
+            res.median.tolist(), res.ci_low.tolist(), res.ci_high.tolist(),
+        ))
     )
     out = _out_dir(args)
     _write_rows(os.path.join(out, "results.csv"), header, rows)
-    snrs = np.asarray([r.peak_snr for r in results])
-    finite = snrs[np.isfinite(snrs)]
+    finite = res.peak_snr[np.isfinite(res.peak_snr)]
+    n_outliers = int(np.sum(res.outlier))
     _write_json(
         os.path.join(out, "summary.json"),
         {
-            "n": len(results),
-            "n_outliers": int(sum(r.outlier for r in results)),
+            "n": len(values),
+            "n_outliers": n_outliers,
             "threshold_mv_per_v": args.threshold,
-            "mean_rmse_mv_per_v": float(np.mean([r.rmse for r in results])),
+            "mean_rmse_mv_per_v": float(np.mean(res.rmse)),
             "mean_finite_peak_snr_db": float(finite.mean()) if finite.size else None,
-            "n_infinite_peak_snr": int(np.sum(~np.isfinite(snrs))),
+            "n_infinite_peak_snr": int(np.sum(~np.isfinite(res.peak_snr))),
         },
     )
     _echo_config(out, "denoise", args)
-    print(f"denoise: {len(results)} decays, {sum(r.outlier for r in results)} flagged")
+    print(f"denoise: {len(values)} decays, {n_outliers} flagged")
     return 0
 
 
@@ -273,7 +272,7 @@ def cmd_sweep(args) -> int:
     )
     ks = _parse_ks(args.ks)
     rows, models = analysis.latent_sweep(
-        decays_to_matrix(corpus),
+        corpus.values,
         ks,
         config,
         n_realizations=args.realizations,
@@ -305,12 +304,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     model = vae_mod.load(args.model)
-    decays = data_mod.read_decays(args.corpus)
-    values = decays_to_matrix(decays)
+    values = data_mod.read_decays(args.corpus).values
     out = _out_dir(args)
 
     hist = analysis.survey_snr_histogram(
-        decays,
+        values,
         model,
         bin_width_db=args.bin_width,
         n_realizations=args.realizations,
@@ -329,12 +327,13 @@ def cmd_report(args) -> int:
     )
 
     mu, _ = vae_mod.encode(model, values)
+    m_bar = data_mod.average_chargeability(values)
     _write_rows(
         os.path.join(out, "latent_scatter.csv"),
         ["id"]
         + [f"mu_{k + 1}" for k in range(model.latent_dim)]
         + ["avg_chargeability_mv_per_v"],
-        ([i] + list(mu[i]) + [values[i].mean()] for i in range(len(decays))),
+        ([i, *row, avg] for i, (row, avg) in enumerate(zip(mu.tolist(), m_bar.tolist()))),
     )
 
     amplitude_range = analysis.density_range(values)
@@ -342,7 +341,7 @@ def cmd_report(args) -> int:
         values, bins=args.bins, amplitude_range=amplitude_range
     )
     generated = vae_mod.sample_matrix(
-        model, len(decays), sigma_scale=1.0, rng=args.seed + 1
+        model, len(values), sigma_scale=1.0, rng=args.seed + 1
     )
     model_chart = analysis.density_chart(
         generated, bins=args.bins, amplitude_range=amplitude_range
@@ -360,11 +359,11 @@ def cmd_report(args) -> int:
             ),
         )
 
-    corr = analysis.latent_chargeability_correlation(model, decays)
+    corr = analysis.latent_chargeability_correlation(model, values)
     _write_json(
         os.path.join(out, "summary.json"),
         {
-            "n": len(decays),
+            "n": len(values),
             "histogram_total": hist.total,
             "n_infinite_peak_snr": hist.inf_count,
             "dlc_difference": analysis.dlc_difference(model_chart, corpus_chart),
@@ -373,7 +372,7 @@ def cmd_report(args) -> int:
         },
     )
     _echo_config(out, "report", args)
-    print(f"report: {len(decays)} decays summarized in {out}")
+    print(f"report: {len(values)} decays summarized in {out}")
     return 0
 
 

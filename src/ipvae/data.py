@@ -2,20 +2,25 @@
 
 A time-domain IP measurement is a short sequence of chargeability values
 (mV/V), one per integration window, recorded after the transmitter current
-is switched off. This module defines the in-memory representation of such
-decays, generates synthetic corpora from a stretched-exponential relaxation
-family, contaminates them with Gaussian noise and spikes, and reads/writes
-the ``ipvae-decays v1`` CSV format.
+is switched off. Computations hold a corpus as an (n, d) float64 matrix, one
+decay per row. This module generates synthetic corpora from a
+stretched-exponential relaxation family, contaminates them with Gaussian
+noise and spikes, reads/writes the ``ipvae-decays v1`` CSV format through
+:class:`DecaySet`, and writes output files atomically.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 CSV_MAGIC = "# ipvae-decays v1"
+_META_COLUMNS = ("id", "vp_mv", "current_ma", "label")
 
 # Amplitude used to scale injected spikes when the Gaussian noise level is
 # zero (otherwise a zero sigma would make every spike vanish).
@@ -56,34 +61,49 @@ DEFAULT_SCHEME = WindowScheme()
 
 
 @dataclass
-class IpDecay:
-    """One IP measurement: windowed chargeability values plus metadata.
+class DecaySet:
+    """A non-empty set of decays on one window scheme, as a decay file holds
+    them: an (n, d) matrix of chargeability values in mV/V (negative values
+    allowed; low-S/N surveys produce them) plus per-row metadata.
 
-    ``windows`` holds the per-window chargeability in mV/V (already
-    normalized by primary voltage and window length by the instrument).
-    Negative values are allowed; low-S/N surveys produce them. ``label`` is
-    an externally supplied confidence score in percent, when available.
+    ``vp_mv`` (primary voltage), ``current_ma`` (transmitter current) and
+    ``label`` (an external confidence score in percent) are float arrays of
+    length n with NaN for an empty field; None leaves the whole column empty.
     """
 
-    windows: np.ndarray
+    values: np.ndarray
     scheme: WindowScheme = DEFAULT_SCHEME
-    vp_mv: float | None = None
-    current_ma: float | None = None
-    label: float | None = None
+    vp_mv: np.ndarray | None = None
+    current_ma: np.ndarray | None = None
+    label: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.windows, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != self.scheme.count:
+        # C order: reductions over the matrix must not depend on its source
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] == 0 or shape[1] != self.scheme.count:
             raise ValueError(
-                f"expected {self.scheme.count} window values, got shape {w.shape}"
+                f"expected n >= 1 rows of {self.scheme.count} window values, got shape {shape}"
             )
-        if not np.all(np.isfinite(w)):
-            raise ValueError("window values must be finite (no NaN/Inf)")
-        object.__setattr__(self, "windows", w)
-        if self.vp_mv is not None and self.vp_mv <= 0:
-            raise ValueError(f"vp_mv must be > 0 when present, got {self.vp_mv}")
-        if self.label is not None and not (0.0 <= self.label <= 100.0):
-            raise ValueError(f"label must lie in [0, 100], got {self.label}")
+        n = shape[0]
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"column 'm{bad[0, 1] + 1}': non-finite window value")
+        for name in _META_COLUMNS[1:]:
+            column = getattr(self, name)
+            column = np.full(n, np.nan) if column is None else np.asarray(column, float)
+            if column.shape != (n,):
+                raise ValueError(f"{name} must hold {n} values, got shape {column.shape}")
+            setattr(self, name, column)
+        bad = self.vp_mv <= 0
+        if np.any(bad):
+            raise ValueError(f"vp_mv must be > 0 when present, got {self.vp_mv[bad][0]}")
+        bad = (self.label < 0.0) | (self.label > 100.0)
+        if np.any(bad):
+            raise ValueError(f"label must lie in [0, 100], got {self.label[bad][0]}")
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass
@@ -123,26 +143,14 @@ class SyntheticSpec:
             raise ValueError(f"spike_prob must lie in [0, 1], got {self.spike_prob}")
 
 
-def average_chargeability(decay: IpDecay) -> float:
-    """Arithmetic mean of the window values, in mV/V."""
-    return float(np.mean(decay.windows))
+def average_chargeability(values: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the window values, in mV/V: a scalar for one
+    decay (d,), one value per row for an (n, d) matrix."""
+    return np.mean(values, axis=-1)
 
 
-def decays_to_matrix(decays: list[IpDecay]) -> np.ndarray:
-    """Stack decays into an (n, d) float64 matrix."""
-    if not decays:
-        raise ValueError("empty decay list")
-    return np.stack([dec.windows for dec in decays])
-
-
-def matrix_to_decays(values: np.ndarray, scheme: WindowScheme = DEFAULT_SCHEME) -> list[IpDecay]:
-    """Wrap the rows of an (n, d) matrix as IpDecay objects."""
-    values = np.asarray(values, dtype=np.float64)
-    return [IpDecay(windows=row, scheme=scheme) for row in values]
-
-
-def generate_ground_truth(spec: SyntheticSpec) -> list[IpDecay]:
-    """Draw a noise-free corpus of stretched-exponential decays.
+def generate_ground_truth(spec: SyntheticSpec) -> np.ndarray:
+    """Draw a noise-free (n, d) corpus of stretched-exponential decays.
 
     Parameter draw order is fixed (m0 vector, then tau, then c) so that a
     given (spec, seed) always produces the same corpus.
@@ -152,17 +160,17 @@ def generate_ground_truth(spec: SyntheticSpec) -> list[IpDecay]:
     tau = rng.uniform(*spec.tau_range, spec.n)
     c = rng.uniform(*spec.c_range, spec.n)
     t = spec.scheme.midpoints_s()
-    windows = m0[:, None] * np.exp(-((t[None, :] / tau[:, None]) ** c[:, None]))
-    return matrix_to_decays(windows, spec.scheme)
+    return m0[:, None] * np.exp(-((t[None, :] / tau[:, None]) ** c[:, None]))
 
 
 def contaminate(
-    decays: list[IpDecay],
+    values: np.ndarray,
     noise_sigma: float,
     spike_prob: float = 0.0,
     seed: int = 0,
-) -> list[IpDecay]:
-    """Add white Gaussian noise and occasional single-window spikes.
+) -> np.ndarray:
+    """Add white Gaussian noise and occasional single-window spikes to the
+    rows of an (n, d) matrix; returns a new matrix.
 
     Every window receives i.i.d. N(0, noise_sigma^2). With probability
     ``spike_prob`` per decay, one uniformly chosen window additionally gets a
@@ -175,7 +183,7 @@ def contaminate(
     if not (0.0 <= spike_prob <= 1.0):
         raise ValueError(f"spike_prob must lie in [0, 1], got {spike_prob}")
     rng = np.random.default_rng(seed)
-    values = decays_to_matrix(decays)
+    values = np.asarray(values, dtype=np.float64)
     n, d = values.shape
     out = values + rng.normal(0.0, noise_sigma, size=(n, d))
     spiked = rng.random(n) < spike_prob
@@ -185,20 +193,12 @@ def contaminate(
     sign = rng.choice((-1.0, 1.0), size=n)
     rows = np.flatnonzero(spiked)
     out[rows, spike_col[rows]] += sign[rows] * magnitude[rows]
-    return [
-        IpDecay(
-            windows=out[i],
-            scheme=dec.scheme,
-            vp_mv=dec.vp_mv,
-            current_ma=dec.current_ma,
-            label=dec.label,
-        )
-        for i, dec in enumerate(decays)
-    ]
+    return out
 
 
-def synthesize_corpus(spec: SyntheticSpec) -> tuple[list[IpDecay], list[IpDecay]]:
-    """Generate a paired (ground truth, contaminated) corpus from one spec.
+def synthesize_corpus(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Generate a paired (ground truth, contaminated) pair of (n, d)
+    matrices from one spec.
 
     The contamination stream is seeded with spec.seed + 1 so truth and noise
     are independent but both reproducible.
@@ -208,51 +208,59 @@ def synthesize_corpus(spec: SyntheticSpec) -> tuple[list[IpDecay], list[IpDecay]
     return truth, noisy
 
 
+# --- file output -----------------------------------------------------------
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a new file beside ``path`` for writing (text: UTF-8, ``\\n``
+    line ends); it replaces ``path`` when the ``with`` block completes and is
+    removed if the block raises, so ``path`` is never left partly written."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode.replace("w", "x"), **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 # --- CSV I/O ---------------------------------------------------------------
 
-_META_COLUMNS = ("id", "vp_mv", "current_ma", "label")
-
-
-def _fmt_opt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _fmt_opt(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
 
 
 def _fmt_num(value: float) -> str:
-    # %g drops the trailing ".0" for integral durations in the header line
-    return f"{value:g}"
+    # integral durations keep the short form ("120"); others round-trip
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
-def write_decays(decays: list[IpDecay], path, format: str = "csv") -> None:
-    """Write decays to ``path`` in the ipvae-decays v1 CSV format.
+def write_decays(decays: DecaySet, path, format: str = "csv") -> None:
+    """Write a decay set to ``path`` in the ipvae-decays v1 CSV format.
 
-    Floats are written with repr so a read-back reproduces them bit-exactly.
-    Row ids are the sequential position in ``decays``.
+    Floats are written with repr so a read-back reproduces them bit-exactly;
+    empty (NaN) metadata fields are left blank. Row ids are the sequential
+    row position.
     """
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
-    if not decays:
-        raise ValueError("refusing to write an empty decay file")
-    scheme = decays[0].scheme
-    for i, dec in enumerate(decays):
-        if dec.scheme != scheme:
-            raise ValueError(f"decay {i} has a different window scheme")
+    scheme = decays.scheme
     header = (
         f"{CSV_MAGIC}; d={scheme.count};"
         f" delay_ms={_fmt_num(scheme.delay_ms)}; window_ms={_fmt_num(scheme.window_ms)}"
     )
     columns = list(_META_COLUMNS) + [f"m{j + 1}" for j in range(scheme.count)]
-    lines = [header, ",".join(columns)]
-    for i, dec in enumerate(decays):
-        fields = [
-            str(i),
-            _fmt_opt(dec.vp_mv),
-            _fmt_opt(dec.current_ma),
-            _fmt_opt(dec.label),
-        ]
-        fields.extend(repr(float(v)) for v in dec.windows)
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    meta = np.column_stack((decays.vp_mv, decays.current_ma, decays.label)).tolist()
+    with atomic_open(path) as fh:
+        fh.write(header + "\n" + ",".join(columns) + "\n")
+        for i, (row, opt) in enumerate(zip(decays.values, meta)):
+            fields = [str(i), *map(_fmt_opt, opt), *map(repr, row.tolist())]
+            fh.write(",".join(fields) + "\n")
 
 
 def _parse_header(line: str, path) -> WindowScheme:
@@ -282,44 +290,33 @@ def _parse_header(line: str, path) -> WindowScheme:
         raise DecayFormatError(f"{path}: invalid header values ({exc})") from exc
 
 
-def _parse_opt(token: str, line_no: int, column: str, path) -> float | None:
+def _opt_float(token: str) -> float:
+    """Value of an optional field: NaN when empty. A literal NaN is refused,
+    since NaN stands for the empty field."""
     if token == "":
-        return None
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise DecayFormatError(
-            f"{path}: line {line_no}, column '{column}': not a number: {token!r}"
-        ) from exc
+        return math.nan
+    value = float(token)
+    if math.isnan(value):
+        raise ValueError(f"NaN is reserved for an empty field: {token!r}")
+    return value
 
 
-def read_decays(path, format: str = "csv") -> list[IpDecay]:
-    """Read a decay file written by :func:`write_decays`.
-
-    Unknown extra columns are ignored with a warning; malformed rows raise
-    :class:`DecayFormatError` naming the offending line and column.
-    """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise DecayFormatError(f"{path}: truncated file (header lines missing)")
-    scheme = _parse_header(lines[0], path)
-    columns = [c.strip() for c in lines[1].split(",")]
-    expected = set(_META_COLUMNS) | {f"m{j + 1}" for j in range(scheme.count)}
-    for name in columns:
-        if name not in expected:
-            warnings.warn(f"{path}: ignoring unknown column '{name}'")
-    missing = [c for c in expected if c not in columns]
-    if missing:
-        raise DecayFormatError(
-            f"{path}: required columns missing: {', '.join(sorted(missing))}"
-        )
+def _decay_set(table: np.ndarray, columns: list[str], scheme: WindowScheme) -> DecaySet:
+    """DecaySet of parsed rows whose fields are laid out as in ``columns``."""
     index = {name: i for i, name in enumerate(columns)}
-    window_idx = [index[f"m{j + 1}"] for j in range(scheme.count)]
-    decays = []
-    for line_no, line in enumerate(lines[2:], start=3):
+    return DecaySet(
+        values=table[:, [index[f"m{j + 1}"] for j in range(scheme.count)]],
+        scheme=scheme,
+        **{name: table[:, index[name]] for name in _META_COLUMNS[1:]},
+    )
+
+
+def _read_lines(lines: list[str], columns: list[str], scheme: WindowScheme, path) -> DecaySet:
+    """Parse data lines one at a time, naming the first bad line and column."""
+    index = {name: i for i, name in enumerate(columns)}
+    names = [f"m{j + 1}" for j in range(scheme.count)] + list(_META_COLUMNS[1:])
+    rows = []
+    for line_no, line in enumerate(lines, start=3):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -328,34 +325,59 @@ def read_decays(path, format: str = "csv") -> list[IpDecay]:
                 f"{path}: line {line_no}: expected {len(columns)} fields"
                 f" ({scheme.count} windows), got {len(fields)}"
             )
-        windows = np.empty(scheme.count)
-        for j, col in enumerate(window_idx):
-            token = fields[col]
+        row = np.zeros(len(fields))
+        for name in names:
+            token = fields[index[name]]
             try:
-                windows[j] = float(token)
+                row[index[name]] = _opt_float(token) if name in _META_COLUMNS else float(token)
             except ValueError as exc:
                 raise DecayFormatError(
-                    f"{path}: line {line_no}, column 'm{j + 1}': not a number: {token!r}"
+                    f"{path}: line {line_no}, column '{name}': not a number: {token!r}"
                 ) from exc
-        if not np.all(np.isfinite(windows)):
-            bad = int(np.flatnonzero(~np.isfinite(windows))[0])
-            raise DecayFormatError(
-                f"{path}: line {line_no}, column 'm{bad + 1}': non-finite window value"
-            )
         try:
-            decays.append(
-                IpDecay(
-                    windows=windows,
-                    scheme=scheme,
-                    vp_mv=_parse_opt(fields[index["vp_mv"]], line_no, "vp_mv", path),
-                    current_ma=_parse_opt(
-                        fields[index["current_ma"]], line_no, "current_ma", path
-                    ),
-                    label=_parse_opt(fields[index["label"]], line_no, "label", path),
-                )
-            )
+            _decay_set(row[None, :], columns, scheme)
         except ValueError as exc:
             raise DecayFormatError(f"{path}: line {line_no}: {exc}") from exc
-    if not decays:
+        rows.append(row)
+    if not rows:
         raise DecayFormatError(f"{path}: no decay rows found")
-    return decays
+    return _decay_set(np.array(rows), columns, scheme)
+
+
+def read_decays(path, format: str = "csv") -> DecaySet:
+    """Read a decay file written by :func:`write_decays`.
+
+    Unknown extra columns are ignored with a warning; malformed rows raise
+    :class:`DecayFormatError` naming the offending line and column.
+    """
+    if format != "csv":
+        raise ValueError(f"unsupported format {format!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        head = [fh.readline() for _ in range(2)]
+        if not head[1]:
+            raise DecayFormatError(f"{path}: truncated file (header lines missing)")
+        scheme = _parse_header(head[0].rstrip("\n"), path)
+        columns = [c.strip() for c in head[1].rstrip("\n").split(",")]
+        expected = set(_META_COLUMNS) | {f"m{j + 1}" for j in range(scheme.count)}
+        for name in columns:
+            if name not in expected:
+                warnings.warn(f"{path}: ignoring unknown column '{name}'")
+        missing = [c for c in expected if c not in columns]
+        if missing:
+            raise DecayFormatError(
+                f"{path}: required columns missing: {', '.join(sorted(missing))}"
+            )
+        converters = {i: _opt_float for i, c in enumerate(columns) if c in _META_COLUMNS[1:]}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+                # an explicit encoding makes numpy < 2 pass str, not bytes, to converters
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                   converters=converters, encoding="utf-8")
+            if table.shape[1] == len(columns):
+                return _decay_set(table, columns, scheme)
+        except ValueError:
+            pass  # any fault is reported by the per-line parse below
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return _read_lines(lines[2:], columns, scheme, path)

@@ -1,43 +1,18 @@
 """Baseline denoisers: moving average, exponential moving average, Butterworth.
 
 All three act on one decay (or a batch of decays) and preserve length and
-constant sequences. ``tune`` grid-searches each filter's hyperparameter per
-decay against a reference curve, breaking ties toward less smoothing.
+constant sequences. ``tune_batch`` grid-searches each filter's
+hyperparameter per decay against a reference curve, breaking ties toward
+less smoothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .data import IpDecay
 
 MA_GRID = (1, 3, 5, 7, 9, 11)
 EMA_GRID = np.linspace(1.0, 0.0, 21)  # preference order: identity first
 CUTOFF_GRID = np.linspace(0.98, 0.02, 49)
-
-FILTER_KINDS = ("MA", "EMA", "Butterworth")
-
-
-@dataclass
-class FilterSpec:
-    """A filter kind plus the hyperparameter relevant to it."""
-
-    kind: str
-    ma_order: int | None = None
-    ema_alpha: float | None = None
-    cutoff: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.ma_order is not None and (self.ma_order < 1 or self.ma_order % 2 == 0):
-            raise ValueError(f"MA order must be odd and >= 1, got {self.ma_order}")
-        if self.ema_alpha is not None and not (0.0 <= self.ema_alpha <= 1.0):
-            raise ValueError(f"EMA alpha must lie in [0, 1], got {self.ema_alpha}")
-        if self.cutoff is not None and not (0.0 < self.cutoff < 1.0):
-            raise ValueError(f"cutoff must lie in (0, 1), got {self.cutoff}")
 
 
 def _as_rows(x) -> tuple[np.ndarray, bool]:
@@ -65,17 +40,23 @@ def moving_average(x, order: int) -> np.ndarray:
     return out[0] if single else out
 
 
+def _first_order_iir(x, b0: float, b1: float, a1: float) -> np.ndarray:
+    """Causal first-order recursion y[j] = b0 x[j] + b1 x[j-1] - a1 y[j-1],
+    with the state seeded by the first sample: y[0] = x[0]."""
+    rows, single = _as_rows(x)
+    out = np.empty_like(rows)
+    out[:, 0] = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        out[:, j] = b0 * rows[:, j] + b1 * rows[:, j - 1] - a1 * out[:, j - 1]
+    return out[0] if single else out
+
+
 def exponential_moving_average(x, alpha: float) -> np.ndarray:
     """First-order recursive smoother; alpha=1 is the identity, alpha=0
     holds the first value."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    rows, single = _as_rows(x)
-    out = np.empty_like(rows)
-    out[:, 0] = rows[:, 0]
-    for j in range(1, rows.shape[1]):
-        out[:, j] = alpha * rows[:, j] + (1.0 - alpha) * out[:, j - 1]
-    return out[0] if single else out
+    return _first_order_iir(x, alpha, 0.0, alpha - 1.0)
 
 
 def butterworth_coeffs(cutoff: float) -> tuple[float, float, float]:
@@ -97,21 +78,7 @@ def butterworth_lowpass(x, cutoff: float) -> np.ndarray:
     been constant), so constants pass through unchanged and no start-up
     transient corrupts the short sequence.
     """
-    b0, b1, a1 = butterworth_coeffs(cutoff)
-    rows, single = _as_rows(x)
-    out = np.empty_like(rows)
-    out[:, 0] = rows[:, 0]
-    for j in range(1, rows.shape[1]):
-        out[:, j] = b0 * rows[:, j] + b1 * rows[:, j - 1] - a1 * out[:, j - 1]
-    return out[0] if single else out
-
-
-def apply_filter(spec: FilterSpec, x) -> np.ndarray:
-    if spec.kind == "MA":
-        return moving_average(x, spec.ma_order)
-    if spec.kind == "EMA":
-        return exponential_moving_average(x, spec.ema_alpha)
-    return butterworth_lowpass(x, spec.cutoff)
+    return _first_order_iir(x, *butterworth_coeffs(cutoff))
 
 
 def _grid_outputs(kind: str, rows: np.ndarray) -> tuple[list, np.ndarray]:
@@ -152,17 +119,3 @@ def tune_batch(
     rows = np.arange(noisy.shape[0])
     params = np.asarray(candidates)[best]
     return params, outputs[best, rows], errors[best, rows]
-
-
-def tune(kind: str, noisy: IpDecay, reference: IpDecay) -> FilterSpec:
-    """Best hyperparameter for one decay, minimizing RMSE to the reference."""
-    if noisy.scheme != reference.scheme:
-        raise ValueError("noisy and reference decays must share a window scheme")
-    params, _, _ = tune_batch(
-        kind, noisy.windows[None, :], reference.windows[None, :]
-    )
-    if kind == "MA":
-        return FilterSpec(kind="MA", ma_order=int(params[0]))
-    if kind == "EMA":
-        return FilterSpec(kind="EMA", ema_alpha=float(params[0]))
-    return FilterSpec(kind="Butterworth", cutoff=float(params[0]))

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_SCHEME, IpDecay, WindowScheme, decays_to_matrix
+from .data import atomic_open
 from .nn import AdamState, DenseLayer, LayerCache, Mlp, adam_step
 
 MODEL_MAGIC = b"IPVAE"
@@ -343,19 +343,19 @@ def loss_backward(model: VaeModel, cache: VaeCache) -> list[np.ndarray]:
 
 def train(
     model: VaeModel,
-    corpus: list[IpDecay] | np.ndarray,
+    corpus: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator | None = None,
 ) -> tuple[VaeModel, list[LossReport]]:
-    """Mini-batch Adam training; returns the model and one report per step.
+    """Mini-batch Adam training on an (n, d) corpus matrix; returns the
+    model and one report per step.
 
     Batches are reshuffled each epoch with a seeded permutation; a trailing
     partial batch is dropped. Deterministic given (corpus, config).
     """
-    values = corpus if isinstance(corpus, np.ndarray) else decays_to_matrix(corpus)
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(corpus, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
-        raise ValueError("corpus must be a non-empty list or (n, d) matrix")
+        raise ValueError("corpus must be a non-empty (n, d) matrix")
     if values.shape[1] != model.input_dim:
         raise ValueError(
             f"corpus window count {values.shape[1]} does not match"
@@ -397,10 +397,11 @@ def train(
 
 
 def train_new(
-    corpus: list[IpDecay] | np.ndarray, config: TrainConfig
+    corpus: np.ndarray, config: TrainConfig
 ) -> tuple[VaeModel, list[LossReport]]:
-    """Initialize a model from the config and train it on the corpus."""
-    values = corpus if isinstance(corpus, np.ndarray) else decays_to_matrix(corpus)
+    """Initialize a model from the config and train it on the (n, d)
+    corpus matrix."""
+    values = np.asarray(corpus, dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     model = VaeModel.initialize(
         input_dim=values.shape[1],
@@ -417,32 +418,14 @@ def sample_matrix(
     sigma_scale: float = 1.0,
     rng: np.random.Generator | int = 0,
 ) -> np.ndarray:
-    """Decode n prior draws z ~ N(0, sigma_scale^2 I) into an (n, d) matrix."""
+    """Decode n prior draws z ~ N(0, sigma_scale^2 I) into an (n, d) matrix
+    of synthetic decays (1.5 flares the population, 0.2 collapses it toward
+    the decoded latent origin)."""
     if sigma_scale < 0:
         raise ValueError(f"sigma_scale must be >= 0, got {sigma_scale}")
     rng = np.random.default_rng(rng)
     z = sigma_scale * rng.standard_normal((n, model.latent_dim))
     return decode(model, z)
-
-
-def sample(
-    model: VaeModel,
-    n: int,
-    sigma_scale: float = 1.0,
-    rng: np.random.Generator | int = 0,
-    scheme: WindowScheme | None = None,
-) -> list[IpDecay]:
-    """Generate n synthetic decays from the latent prior (widened or
-    narrowed by sigma_scale; 1.5 flares the population, 0.2 collapses it
-    toward the decoded latent origin)."""
-    if scheme is None:
-        scheme = (
-            DEFAULT_SCHEME
-            if model.input_dim == DEFAULT_SCHEME.count
-            else replace(DEFAULT_SCHEME, count=model.input_dim)
-        )
-    values = sample_matrix(model, n, sigma_scale, rng)
-    return [IpDecay(windows=row, scheme=scheme) for row in values]
 
 
 # --- persistence -------------------------------------------------------------
@@ -468,7 +451,7 @@ def save(model: VaeModel, path) -> None:
     """Write the model with magic, payload and an 8-byte SHA-256 checksum."""
     payload = _pack_payload(model)
     digest = hashlib.sha256(payload).digest()[:8]
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MODEL_MAGIC + payload + digest)
 
 

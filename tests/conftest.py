@@ -3,7 +3,7 @@ the full-size canonical corpus/model reused by the acceptance suite."""
 
 import pytest
 
-from ipvae.data import SyntheticSpec, decays_to_matrix, synthesize_corpus
+from ipvae.data import SyntheticSpec, synthesize_corpus
 from ipvae.vae import TrainConfig, train_new
 
 # Canonical pipeline: default synthetic spec at 2e5 decays, default training.
@@ -14,27 +14,23 @@ CANONICAL_TRAIN_SEED = 7
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    spec = SyntheticSpec(n=20_000, **CANONICAL_SPEC)
-    truth, noisy = synthesize_corpus(spec)
-    return decays_to_matrix(truth), decays_to_matrix(noisy), noisy
+    return synthesize_corpus(SyntheticSpec(n=20_000, **CANONICAL_SPEC))
 
 
 @pytest.fixture(scope="session")
 def small_model(small_corpus):
-    _, noisy_matrix, _ = small_corpus
+    _, noisy_matrix = small_corpus
     model, reports = train_new(noisy_matrix, TrainConfig(seed=CANONICAL_TRAIN_SEED))
     return model, reports
 
 
 @pytest.fixture(scope="session")
 def canonical_corpus():
-    spec = SyntheticSpec(n=CANONICAL_N, **CANONICAL_SPEC)
-    truth, noisy = synthesize_corpus(spec)
-    return decays_to_matrix(truth), decays_to_matrix(noisy), noisy
+    return synthesize_corpus(SyntheticSpec(n=CANONICAL_N, **CANONICAL_SPEC))
 
 
 @pytest.fixture(scope="session")
 def canonical_model(canonical_corpus):
-    _, noisy_matrix, _ = canonical_corpus
+    _, noisy_matrix = canonical_corpus
     model, reports = train_new(noisy_matrix, TrainConfig(seed=CANONICAL_TRAIN_SEED))
     return model, reports

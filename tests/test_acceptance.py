@@ -29,7 +29,7 @@ from ipvae.analysis import (
     rmse_rows,
 )
 from ipvae.cli import main as cli_main
-from ipvae.data import SyntheticSpec, decays_to_matrix, synthesize_corpus
+from ipvae.data import SyntheticSpec, synthesize_corpus
 from ipvae.filters import (
     butterworth_lowpass,
     exponential_moving_average,
@@ -123,8 +123,7 @@ def test_criterion_02_closed_form_kl():
 def test_criterion_03_training_stationarity():
     start = time.monotonic()
     spec = SyntheticSpec(n=100_000, **CANONICAL_SPEC)
-    _, noisy = synthesize_corpus(spec)
-    values = decays_to_matrix(noisy)
+    _, values = synthesize_corpus(spec)
     _, reports_1 = train_new(values, TrainConfig(seed=CANONICAL_TRAIN_SEED))
     sm1 = smooth_curve([r.total for r in reports_1], 1000)
     ratio = float(sm1[-1] / sm1.min())
@@ -176,7 +175,7 @@ def test_criterion_05_noise_sensitivity_trend(canonical_model):
 
 def test_criterion_06_generative_fidelity(canonical_model, canonical_corpus):
     model, _ = canonical_model
-    _, noisy, _ = canonical_corpus
+    _, noisy = canonical_corpus
     samples = sample_matrix(model, 100_000, sigma_scale=1.0, rng=3)
     amplitude_range = density_range(noisy)
     dlc = dlc_difference(
@@ -200,7 +199,7 @@ def test_criterion_06_generative_fidelity(canonical_model, canonical_corpus):
 
 def test_criterion_07_latent_interpretation(canonical_model, canonical_corpus):
     model, _ = canonical_model
-    _, noisy, _ = canonical_corpus
+    _, noisy = canonical_corpus
     mu, _ = encode(model, noisy[:20_000])
     m_bar = noisy[:20_000].mean(axis=1)
     r = [abs(float(np.corrcoef(mu[:, k], m_bar)[0, 1]))
@@ -210,7 +209,7 @@ def test_criterion_07_latent_interpretation(canonical_model, canonical_corpus):
 
 
 def test_criterion_08_latent_sweep_flatness(canonical_corpus):
-    _, noisy, _ = canonical_corpus
+    _, noisy = canonical_corpus
     rows = latent_sweep(
         noisy[:30_000],
         ks=(1, 2, 4, 6),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ipvae.analysis import (
-    denoise,
     denoise_all,
     density_chart,
     dlc_difference,
@@ -15,7 +14,6 @@ from ipvae.analysis import (
     rmse,
     survey_snr_histogram,
 )
-from ipvae.data import matrix_to_decays
 from ipvae.vae import TrainConfig, sample_matrix
 
 
@@ -88,49 +86,47 @@ class TestPeakSnr:
 class TestDenoise:
     def test_reproducible(self, small_model, small_corpus):
         model, _ = small_model
-        _, _, decays = small_corpus
-        a = denoise(model, decays[0], n_realizations=50, rng=4)
-        b = denoise(model, decays[0], n_realizations=50, rng=4)
+        _, decays = small_corpus
+        a = denoise_all(model, decays[:1], n_realizations=50, rng=4)
+        b = denoise_all(model, decays[:1], n_realizations=50, rng=4)
         assert np.array_equal(a.median, b.median)
-        assert a.rmse == b.rmse
+        assert np.array_equal(a.rmse, b.rmse)
 
     def test_quantile_ordering(self, small_model, small_corpus):
         model, _ = small_model
-        _, _, decays = small_corpus
-        for dec in decays[:20]:
-            res = denoise(model, dec, n_realizations=100, rng=5)
-            assert np.all(res.ci_low <= res.median + 1e-12)
-            assert np.all(res.median <= res.ci_high + 1e-12)
+        _, decays = small_corpus
+        res = denoise_all(model, decays[:20], n_realizations=100, rng=5)
+        assert res.median.shape == (20, decays.shape[1])
+        assert np.all(res.ci_low <= res.median + 1e-12)
+        assert np.all(res.median <= res.ci_high + 1e-12)
 
     def test_clean_in_distribution_easier_than_noisy(self, small_model):
         model, _ = small_model
         clean = sample_matrix(model, 300, 1.0, rng=6)
         noisy = clean + np.random.default_rng(7).normal(0, 1.1, clean.shape)
-        res_clean = denoise_all(model, matrix_to_decays(clean), 50, rng=8)
-        res_noisy = denoise_all(model, matrix_to_decays(noisy), 50, rng=8)
-        assert np.mean([r.rmse for r in res_clean]) <= np.mean(
-            [r.rmse for r in res_noisy]
-        )
+        res_clean = denoise_all(model, clean, 50, rng=8)
+        res_noisy = denoise_all(model, noisy, 50, rng=8)
+        assert np.mean(res_clean.rmse) <= np.mean(res_noisy.rmse)
 
     def test_realization_floor(self, small_model, small_corpus):
         model, _ = small_model
-        _, _, decays = small_corpus
+        _, decays = small_corpus
         with pytest.raises(ValueError, match="realizations"):
-            denoise(model, decays[0], n_realizations=1, rng=9)
+            denoise_all(model, decays[:1], n_realizations=1, rng=9)
 
     def test_threshold_controls_flag(self, small_model, small_corpus):
         model, _ = small_model
-        _, _, decays = small_corpus
-        res = denoise(model, decays[0], n_realizations=50, rng=10)
-        strict = denoise(model, decays[0], n_realizations=50, threshold=1e-9, rng=10)
-        assert strict.outlier
-        assert res.outlier == (res.rmse > 1.0)
+        _, decays = small_corpus
+        res = denoise_all(model, decays[:50], n_realizations=50, rng=10)
+        strict = denoise_all(model, decays[:50], n_realizations=50, threshold=1e-9, rng=10)
+        assert np.all(strict.outlier)
+        assert np.array_equal(res.outlier, res.rmse > 1.0)
 
 
 class TestSurveyHistogram:
     def test_counts_sum_to_n(self, small_model, small_corpus):
         model, _ = small_model
-        _, _, decays = small_corpus
+        _, decays = small_corpus
         hist = survey_snr_histogram(decays[:500], model, n_realizations=20, rng=11)
         assert hist.total == 500
 
@@ -140,9 +136,7 @@ class TestSurveyHistogram:
         for sigma in (0.3, 3.0):
             clean = sample_matrix(model, 800, 1.0, rng=12)
             noisy = clean + np.random.default_rng(13).normal(0, sigma, clean.shape)
-            hist = survey_snr_histogram(
-                matrix_to_decays(noisy), model, n_realizations=50, rng=14
-            )
+            hist = survey_snr_histogram(noisy, model, n_realizations=50, rng=14)
             modes[sigma] = hist.bin_edges[int(np.argmax(hist.counts))]
         assert modes[0.3] > modes[3.0]
 
@@ -151,7 +145,7 @@ class TestSurveyHistogram:
         # the whole survey lands in a narrow band of high-S/N bins
         model, _ = small_model
         one = sample_matrix(model, 1, 1.0, rng=15)
-        survey = matrix_to_decays(np.tile(one, (100, 1)))
+        survey = np.tile(one, (100, 1))
         hist = survey_snr_histogram(survey, model, n_realizations=50, rng=16)
         assert hist.total == 100
         occupied = np.flatnonzero(hist.counts)
@@ -161,17 +155,17 @@ class TestSurveyHistogram:
     def test_empty_rejected(self, small_model):
         model, _ = small_model
         with pytest.raises(ValueError):
-            survey_snr_histogram([], model)
+            survey_snr_histogram(np.empty((0, 20)), model)
 
 
 class TestDensityChart:
     def test_columns_sum_to_one(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         chart = density_chart(noisy[:5000])
         assert np.allclose(chart.grid.sum(axis=0), 1.0, atol=1e-12)
 
     def test_self_difference_zero_and_symmetry(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         a = density_chart(noisy[:3000], amplitude_range=(-5, 50))
         b = density_chart(noisy[3000:6000], amplitude_range=(-5, 50))
         assert dlc_difference(a, a) == 0.0
@@ -201,7 +195,7 @@ class TestDensityChart:
 class TestLatentCorrelation:
     def test_order_invariance(self, small_model, small_corpus):
         model, _ = small_model
-        _, _, decays = small_corpus
+        _, decays = small_corpus
         subset = decays[:2000]
         r1 = latent_chargeability_correlation(model, subset)
         r2 = latent_chargeability_correlation(model, subset[::-1])
@@ -209,13 +203,13 @@ class TestLatentCorrelation:
 
     def test_needs_three_decays(self, small_model, small_corpus):
         model, _ = small_model
-        _, _, decays = small_corpus
+        _, decays = small_corpus
         with pytest.raises(ValueError):
             latent_chargeability_correlation(model, decays[:2])
 
     def test_degenerate_population_rejected(self, small_model):
         model, _ = small_model
-        same = matrix_to_decays(np.tile(np.linspace(20, 2, 20), (10, 1)))
+        same = np.tile(np.linspace(20, 2, 20), (10, 1))
         with pytest.raises(ValueError, match="variance"):
             latent_chargeability_correlation(model, same)
 
@@ -223,7 +217,7 @@ class TestLatentCorrelation:
         # no bound asserted for a freshly initialized model; recorded only
         from ipvae.vae import VaeModel
 
-        _, _, decays = small_corpus
+        _, decays = small_corpus
         model = VaeModel.initialize(rng=77)
         r = latent_chargeability_correlation(model, decays[:1000])
         assert np.all(np.isfinite(r))
@@ -231,7 +225,7 @@ class TestLatentCorrelation:
 
 class TestLatentSweep:
     def test_smoke_all_ks_finite(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         rows = latent_sweep(
             noisy[:4000], ks=(1, 2), config=TrainConfig(seed=3), n_realizations=10
         )
@@ -241,7 +235,7 @@ class TestLatentSweep:
                 assert np.isfinite(value)
 
     def test_error_annotated_with_k(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         with pytest.raises(RuntimeError, match="K=1"):
             latent_sweep(
                 noisy[:2000], ks=(1,), config=TrainConfig(seed=3, lr=1e6),

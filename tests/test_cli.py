@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ipvae.cli import main
+from ipvae.cli import _write_rows, main
 
 DATA_FILES = {
     "synth": ["ground_truth.csv", "contaminated.csv"],
@@ -213,3 +213,23 @@ class TestReport:
         for name in DATA_FILES["report"]:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False)
+
+
+class TestAtomicOutputs:
+    @staticmethod
+    def failing_rows():
+        yield [1, 2.5]
+        raise RuntimeError("row source failed")
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError, match="row source failed"):
+            _write_rows(tmp_path / "out.csv", ["a", "b"], self.failing_rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        _write_rows(target, ["a", "b"], [[0, 1.0]])
+        with pytest.raises(RuntimeError, match="row source failed"):
+            _write_rows(target, ["a", "b"], self.failing_rows())
+        assert target.read_text() == "a,b\n0,1.0\n"
+        assert list(tmp_path.iterdir()) == [target]

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from ipvae.data import IpDecay, SyntheticSpec, decays_to_matrix, synthesize_corpus
+from ipvae.data import SyntheticSpec, synthesize_corpus
 from ipvae.filters import (
     CUTOFF_GRID,
-    FilterSpec,
-    apply_filter,
+    EMA_GRID,
+    MA_GRID,
     butterworth_lowpass,
     exponential_moving_average,
     moving_average,
-    tune,
     tune_batch,
 )
 
@@ -58,6 +57,15 @@ class TestExponentialMovingAverage:
     def test_unrolled_recursion(self):
         out = exponential_moving_average(np.array([2.0, 0.0, 0.0]), 0.5)
         assert np.allclose(out, [2.0, 1.0, 0.5], rtol=1e-12)
+
+    def test_matches_reference_recursion_over_grid(self):
+        rows = np.random.default_rng(9).normal(5.0, 3.0, (200, 20))
+        for alpha in EMA_GRID:
+            expected = np.empty_like(rows)
+            expected[:, 0] = rows[:, 0]
+            for j in range(1, rows.shape[1]):
+                expected[:, j] = alpha * rows[:, j] + (1.0 - alpha) * expected[:, j - 1]
+            assert np.array_equal(exponential_moving_average(rows, alpha), expected)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
@@ -110,51 +118,40 @@ class TestCommonProperties:
 
 class TestTune:
     def setup_method(self):
-        truth, noisy = synthesize_corpus(SyntheticSpec(n=1, noise_sigma=1.0, seed=44))
-        self.truth = truth[0]
-        self.noisy = noisy[0]
+        self.truth, self.noisy = synthesize_corpus(
+            SyntheticSpec(n=1, noise_sigma=1.0, seed=44)
+        )
 
     def test_identity_most_setting_on_clean_input(self):
-        assert tune("MA", self.truth, self.truth).ma_order == 1
-        assert tune("EMA", self.truth, self.truth).ema_alpha == 1.0
-        assert tune("Butterworth", self.truth, self.truth).cutoff == pytest.approx(
+        assert tune_batch("MA", self.truth, self.truth)[0][0] == 1
+        assert tune_batch("EMA", self.truth, self.truth)[0][0] == 1.0
+        assert tune_batch("Butterworth", self.truth, self.truth)[0][0] == pytest.approx(
             CUTOFF_GRID[0]
         )
 
     def test_argmin_contract(self):
-        spec = tune("MA", self.noisy, self.truth)
+        params, filtered, errs = tune_batch("MA", self.noisy, self.truth)
         best = np.sqrt(np.mean(
-            (apply_filter(spec, self.noisy.windows) - self.truth.windows) ** 2))
-        for order in (1, 3, 5, 7, 9, 11):
+            (moving_average(self.noisy[0], int(params[0])) - self.truth[0]) ** 2))
+        assert np.array_equal(filtered[0], moving_average(self.noisy[0], int(params[0])))
+        assert errs[0] == pytest.approx(best, rel=1e-12)
+        for order in MA_GRID:
             other = np.sqrt(np.mean(
-                (moving_average(self.noisy.windows, order) - self.truth.windows) ** 2))
+                (moving_average(self.noisy[0], order) - self.truth[0]) ** 2))
             assert best <= other + 1e-12
 
     def test_ma_beats_ema_on_benchmark(self):
         # at sigma = 1.1 the centered mean wins over the causal recursion
-        truth, _ = synthesize_corpus(SyntheticSpec(n=2000, noise_sigma=0, seed=3))
-        gt = decays_to_matrix(truth)
+        gt, _ = synthesize_corpus(SyntheticSpec(n=2000, noise_sigma=0, seed=3))
         noisy = gt + np.random.default_rng(4).normal(0, 1.1, gt.shape)
         _, _, e_ma = tune_batch("MA", noisy, gt)
         _, _, e_ema = tune_batch("EMA", noisy, gt)
         assert e_ma.mean() < e_ema.mean()
 
-    def test_scheme_mismatch(self):
-        from ipvae.data import WindowScheme
-        other = IpDecay(windows=np.ones(10), scheme=WindowScheme(count=10))
-        with pytest.raises(ValueError, match="scheme"):
-            tune("MA", self.noisy, other)
-
-
-class TestFilterSpec:
-    def test_even_order_rejected(self):
-        with pytest.raises(ValueError):
-            FilterSpec(kind="MA", ma_order=4)
-
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            FilterSpec(kind="savgol")
+        with pytest.raises(ValueError, match="unknown filter kind"):
+            tune_batch("savgol", self.noisy, self.truth)
 
-    def test_cutoff_open_interval(self):
-        with pytest.raises(ValueError):
-            FilterSpec(kind="Butterworth", cutoff=1.0)
+    def test_scheme_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            tune_batch("MA", self.noisy, np.ones((1, 10)))

@@ -17,7 +17,6 @@ from ipvae.vae import (
     loss_backward,
     loss_given_eps,
     reparametrize,
-    sample,
     sample_matrix,
     save,
     smooth_curve,
@@ -47,7 +46,7 @@ class TestEncode:
     def test_trained_mu_hugs_prior(self, small_corpus):
         # With one informative factor, a K=1 posterior-mean cloud sits close
         # to the standard-normal prior in both center and spread.
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         model, _ = train_new(noisy, TrainConfig(seed=7, latent_dim=1))
         mu, _ = encode(model, noisy)
         assert abs(mu.mean()) < 0.5
@@ -58,7 +57,7 @@ class TestEncode:
         # it hugs the prior while the spare coordinate collapses onto it
         # (zero-centered, near-zero spread). See the decisions ledger.
         model, _ = canonical_model
-        _, noisy, _ = canonical_corpus
+        _, noisy = canonical_corpus
         mu, _ = encode(model, noisy[:20000])
         means, stds = mu.mean(axis=0), mu.std(axis=0)
         assert np.all(np.abs(means) < 0.5)
@@ -106,7 +105,7 @@ class TestDecode:
 
     def test_decode_origin_near_corpus_median(self, canonical_model, canonical_corpus):
         model, _ = canonical_model
-        _, noisy, _ = canonical_corpus
+        _, noisy = canonical_corpus
         origin_curve = decode(model, np.zeros(2))
         median_curve = np.median(noisy, axis=0)
         err = np.sqrt(np.mean((origin_curve - median_curve) ** 2))
@@ -182,7 +181,7 @@ class TestLoss:
 
 class TestTrain:
     def test_deterministic_end_to_end(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         sub = noisy[:2000]
         m1, r1 = train_new(sub, TrainConfig(seed=3))
         m2, r2 = train_new(sub, TrainConfig(seed=3))
@@ -191,13 +190,13 @@ class TestTrain:
         assert [r.total for r in r1] == [r.total for r in r2]
 
     def test_drop_last_batching(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         _, reports = train_new(noisy[:1000], TrainConfig(seed=3, batch_size=64))
         assert len(reports) == 1000 // 64
         assert [r.step for r in reports] == list(range(1, 1000 // 64 + 1))
 
     def test_divergence_guard(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         with pytest.raises(TrainingDivergedError) as exc_info:
             train_new(noisy[:2000], TrainConfig(seed=3, lr=1e6))
         assert exc_info.value.step > 0
@@ -211,7 +210,7 @@ class TestTrain:
         assert max(nll, kl) / min(nll, kl) < 10.0
 
     def test_ae_mode_reconstructs_at_least_as_well(self, small_corpus):
-        _, noisy, _ = small_corpus
+        _, noisy = small_corpus
         sub = noisy[:20_000]
         plain, _ = train_new(sub, TrainConfig(seed=5, kl_weight=0.0))
         vae, _ = train_new(sub, TrainConfig(seed=5, kl_weight=1.0))
@@ -232,9 +231,8 @@ class TestSample:
     def test_sigma_zero_collapses_to_origin_decode(self, small_model):
         model, _ = small_model
         origin = decode(model, np.zeros(2))
-        decays = sample(model, 50, sigma_scale=0.0, rng=9)
-        for dec in decays:
-            assert np.allclose(dec.windows, origin, atol=1e-12)
+        values = sample_matrix(model, 50, sigma_scale=0.0, rng=9)
+        assert np.allclose(values, origin, atol=1e-12)
 
     def test_small_sigma_within_tolerance(self, small_model):
         model, _ = small_model
@@ -250,8 +248,7 @@ class TestSample:
 
     def test_returns_decays_with_matching_scheme(self, small_model):
         model, _ = small_model
-        decays = sample(model, 5, rng=13)
-        assert all(dec.scheme.count == model.input_dim for dec in decays)
+        assert sample_matrix(model, 5, rng=13).shape == (5, model.input_dim)
 
 
 class TestPersistence:
