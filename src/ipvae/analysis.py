@@ -111,6 +111,30 @@ def _peak_snr_rows(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
         return 20.0 * np.log10(ranges / misfit)
 
 
+def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
+    """``np.quantile(s, q, axis=-1)`` for each q in [0, 1), bit for bit, from
+    ``s`` already sorted along its last axis of length R >= 2.
+
+    Reproduces numpy's default ``linear`` rule: virtual index q·(R−1), its
+    floor and fractional part gamma, numpy's two-branch ``_lerp``, and NaN
+    wherever a slice holds one (NaN sorts last).
+    """
+    r = s.shape[-1]
+    last = s[..., -1]
+    nan = np.isnan(last)
+    out = []
+    for q in qs:
+        virtual = (r - 1) * q
+        below = math.floor(virtual)
+        gamma = virtual - below
+        a, b = s[..., below], s[..., below + 1]
+        diff = b - a
+        res = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+        np.copyto(res, last, where=nan)
+        out.append(res)
+    return out
+
+
 def denoise_matrix(
     model: VaeModel,
     values: np.ndarray,
@@ -121,17 +145,28 @@ def denoise_matrix(
 
     Returns (median, ci_low, ci_high) per-window empirical 0.5/0.025/0.975
     quantiles over ``n_realizations`` encode-sample-decode passes.
+
+    Rows are decoded in blocks of about 16k latent samples, so memory is
+    the (R, n, K) noise draws plus the outputs, never all R·n·d
+    reconstructions. The noise is drawn in one call, which reads the same
+    stream as R draws of (n, K); results do not depend on the block size.
     """
     if n_realizations < 2:
         raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
     rng = np.random.default_rng(rng)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    n, d = values.shape
     mu, sigma = vae_mod.encode(model, values)
-    recs = np.empty((n_realizations, values.shape[0], values.shape[1]))
-    for r in range(n_realizations):
-        z = mu + rng.standard_normal(mu.shape) * sigma
-        recs[r] = vae_mod.decode(model, z)
-    lo, med, hi = np.quantile(recs, (0.025, 0.5, 0.975), axis=0)
+    eps = rng.standard_normal((n_realizations, *mu.shape))
+    block = max(1, 2**14 // n_realizations)
+    med, lo, hi = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        z = mu[rows] + eps[:, rows] * sigma[rows]
+        recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
+        recs = recs.reshape(n_realizations, -1, d).transpose(1, 2, 0).copy()
+        recs.sort(axis=-1)
+        lo[rows], med[rows], hi[rows] = sorted_quantiles(recs, (0.025, 0.5, 0.975))
     return med, lo, hi
 
 

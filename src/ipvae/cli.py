@@ -31,6 +31,8 @@ EXIT_IO = 5
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, str):
@@ -166,6 +168,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _result_lines(res: analysis.DenoiseResult, chunk: int = 4096):
+    """results.csv data lines, formatted like ``data.write_decays`` from
+    ``tolist()`` one chunk of rows at a time."""
+    for start in range(0, len(res.rmse), chunk):
+        part = slice(start, start + chunk)
+        bands = np.hstack((res.median[part], res.ci_low[part], res.ci_high[part]))
+        for i, err, snr, flag, band in zip(
+            range(start, start + chunk), res.rmse[part].tolist(),
+            res.peak_snr[part].tolist(), res.outlier[part].tolist(), bands.tolist(),
+        ):
+            yield f"{i},{err!r},{snr!r},{'1' if flag else '0'},{','.join(map(repr, band))}\n"
+
+
 def cmd_denoise(args) -> int:
     model = vae_mod.load(args.model)
     values = data_mod.read_decays(args.input).values
@@ -183,17 +198,20 @@ def cmd_denoise(args) -> int:
         + [f"lo_m{j + 1}" for j in range(d)]
         + [f"hi_m{j + 1}" for j in range(d)]
     )
-    rows = (
-        [i, err, snr, flag, *med, *lo, *hi]
-        for i, (err, snr, flag, med, lo, hi) in enumerate(zip(
-            res.rmse.tolist(), res.peak_snr.tolist(), res.outlier.tolist(),
-            res.median.tolist(), res.ci_low.tolist(), res.ci_high.tolist(),
-        ))
-    )
     out = _out_dir(args)
-    _write_rows(os.path.join(out, "results.csv"), header, rows)
+    with atomic_open(os.path.join(out, "results.csv")) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_result_lines(res))
     finite = res.peak_snr[np.isfinite(res.peak_snr)]
     n_outliers = int(np.sum(res.outlier))
+    if n_outliers > len(values) / 2:
+        print(
+            f"warning: {n_outliers} of {len(values)} decays"
+            f" ({n_outliers / len(values):.0%}) flagged at {args.threshold} mV/V;"
+            f" the median per-decay RMSE, a noise-floor estimate, is"
+            f" {float(np.median(res.rmse)):.3g} mV/V",
+            file=sys.stderr,
+        )
     _write_json(
         os.path.join(out, "summary.json"),
         {

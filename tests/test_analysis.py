@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ipvae import vae as vae_mod
 from ipvae.analysis import (
     denoise_all,
+    denoise_matrix,
     density_chart,
     dlc_difference,
     fitted_slope,
@@ -12,6 +14,7 @@ from ipvae.analysis import (
     latent_sweep,
     peak_snr,
     rmse,
+    sorted_quantiles,
     survey_snr_histogram,
 )
 from ipvae.vae import TrainConfig, sample_matrix
@@ -121,6 +124,58 @@ class TestDenoise:
         strict = denoise_all(model, decays[:50], n_realizations=50, threshold=1e-9, rng=10)
         assert np.all(strict.outlier)
         assert np.array_equal(res.outlier, res.rmse > 1.0)
+
+
+def unblocked_denoise_matrix(model, values, n_realizations, rng):
+    """The pre-blocking denoise_matrix: R separate decodes of all n rows,
+    all R·n·d reconstructions held, then np.quantile over them."""
+    rng = np.random.default_rng(rng)
+    mu, sigma = vae_mod.encode(model, values)
+    recs = np.empty((n_realizations, values.shape[0], values.shape[1]))
+    for r in range(n_realizations):
+        z = mu + rng.standard_normal(mu.shape) * sigma
+        recs[r] = vae_mod.decode(model, z)
+    lo, med, hi = np.quantile(recs, (0.025, 0.5, 0.975), axis=0)
+    return med, lo, hi
+
+
+class TestBlockedDenoise:
+    @pytest.mark.parametrize("realizations", [2, 3, 100])
+    @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "1000"])
+    def test_matches_unblocked_quantiles(self, small_model, small_corpus,
+                                         realizations, rows):
+        model, _ = small_model
+        _, decays = small_corpus
+        block = max(1, 2**14 // realizations)
+        n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1, "1000": 1000}[rows]
+        old_rng, new_rng = np.random.default_rng(17), np.random.default_rng(17)
+        expected = unblocked_denoise_matrix(model, decays[:n], realizations, old_rng)
+        got = denoise_matrix(model, decays[:n], realizations, new_rng)
+        # the shared generator has consumed exactly the same draws
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        for e, g in zip(expected, got):
+            assert g.shape == e.shape
+            if n == 1:
+                # numpy sends a one-row matmul to gemv, whose sums may round
+                # differently from the gemm used for every batched decode
+                np.testing.assert_allclose(g, e, rtol=1e-13, atol=1e-13)
+            else:
+                assert g.tobytes() == e.tobytes()
+
+
+class TestSortedQuantiles:
+    @pytest.mark.parametrize("realizations", [2, 3, 7, 100, 101])
+    def test_bit_equal_to_np_quantile_with_ties(self, realizations):
+        rng = np.random.default_rng(realizations)
+        # few distinct values, so most order statistics are tied
+        x = rng.integers(-3, 4, size=(40, realizations)).astype(np.float64) * 0.1
+        x[0] = rng.standard_normal(realizations)
+        x[1, realizations // 2] = np.nan
+        qs = (0.0, 0.025, 0.25, 0.5, 0.975, 0.999)
+        got = sorted_quantiles(np.sort(x, axis=-1), qs)
+        for q, g in zip(qs, got):
+            assert g.tobytes() == np.quantile(x, q, axis=-1).tobytes(), q
+        assert np.isnan(got[3][1])
 
 
 class TestSurveyHistogram:

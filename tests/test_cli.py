@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from ipvae.cli import _write_rows, main
+from ipvae import analysis, data, vae
+from ipvae.cli import _fmt, _result_lines, _write_rows, main
 
 DATA_FILES = {
     "synth": ["ground_truth.csv", "contaminated.csv"],
@@ -134,6 +135,46 @@ class TestDenoise:
         assert all(r.split(",")[flag_col] == "0" for r in b[1:])
 
 
+    def test_results_formatted_like_write_rows(self, pipeline, tmp_path):
+        model = pipeline / "train" / "model.ipvae"
+        inp = pipeline / "synth" / "contaminated.csv"
+        assert run("denoise", "--model", model, "--input", inp,
+                   "--realizations", 20, "--seed", 3, "--out", tmp_path / "d") == 0
+        res = analysis.denoise_all(vae.load(model), data.read_decays(inp).values,
+                                   n_realizations=20, rng=3)
+        rows = (
+            [i, err, snr, flag, *med, *lo, *hi]
+            for i, (err, snr, flag, med, lo, hi) in enumerate(zip(
+                res.rmse.tolist(), res.peak_snr.tolist(), res.outlier.tolist(),
+                res.median.tolist(), res.ci_low.tolist(), res.ci_high.tolist(),
+            ))
+        )
+        lines = (tmp_path / "d" / "results.csv").read_text().splitlines(keepends=True)
+        _write_rows(tmp_path / "rows.csv", lines[0].rstrip("\n").split(","), rows)
+        assert (tmp_path / "rows.csv").read_text().splitlines(keepends=True) == lines
+        # chunk boundaries do not show in the output
+        assert list(_result_lines(res, chunk=7)) == lines[1:]
+
+    def test_warns_when_most_decays_flagged(self, pipeline, tmp_path, capsys):
+        model = pipeline / "train" / "model.ipvae"
+        inp = pipeline / "synth" / "contaminated.csv"
+
+        def denoise(threshold, out):
+            assert run("denoise", "--model", model, "--input", inp,
+                       "--realizations", 20, "--seed", 3, "--threshold", threshold,
+                       "--out", tmp_path / out) == 0
+            return capsys.readouterr()
+
+        flagged = denoise(1e-9, "all")
+        assert flagged.out == "denoise: 400 decays, 400 flagged\n"
+        assert flagged.err.count("\n") == 1
+        assert flagged.err.startswith("warning: 400 of 400 decays (100%) flagged")
+        assert "median per-decay RMSE" in flagged.err
+        clean = denoise(1e9, "none")
+        assert clean.out == "denoise: 400 decays, 0 flagged\n"
+        assert clean.err == ""
+
+
 class TestBench:
     def test_outputs_and_structure(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"
@@ -233,3 +274,14 @@ class TestAtomicOutputs:
             _write_rows(target, ["a", "b"], self.failing_rows())
         assert target.read_text() == "a,b\n0,1.0\n"
         assert list(tmp_path.iterdir()) == [target]
+
+
+class TestFmt:
+    def test_each_type_keeps_its_form(self):
+        assert _fmt(0.1) == "0.1"
+        assert _fmt(float("inf")) == "inf"
+        assert _fmt(np.float64(0.1)) == "0.1"
+        assert _fmt(np.float32(0.5)) == "0.5"
+        assert _fmt(True) == "1" and _fmt(np.bool_(False)) == "0"
+        assert _fmt(3) == "3" and _fmt(np.int64(-2)) == "-2"
+        assert _fmt("ip_vae") == "ip_vae" and _fmt(None) == ""
