@@ -183,6 +183,8 @@ def denoise_all(
     The outlier flag is the reconstruction-RMSE rule: inputs farther than
     ``threshold`` (mV/V) from their median reconstruction are flagged.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     med, lo, hi = denoise_matrix(model, values, n_realizations, rng)
     errs = rmse_rows(values, med)

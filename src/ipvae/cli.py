@@ -129,7 +129,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus = data_mod.read_decays(args.corpus)
     config = TrainConfig(
         seed=args.seed,
         lr=args.lr,
@@ -139,6 +138,7 @@ def cmd_train(args) -> int:
         latent_dim=args.latent,
         standardize=not args.no_standardize,
     )
+    corpus = data_mod.read_decays(args.corpus)
     model, reports = vae_mod.train_new(corpus.values, config)
     out = _out_dir(args)
     model_path = os.path.join(out, "model.ipvae")
@@ -280,7 +280,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    corpus = data_mod.read_decays(args.corpus)
     config = TrainConfig(
         seed=args.seed,
         lr=args.lr,
@@ -288,6 +287,7 @@ def cmd_sweep(args) -> int:
         epochs=args.epochs,
         kl_weight=args.kl_weight,
     )
+    corpus = data_mod.read_decays(args.corpus)
     ks = _parse_ks(args.ks)
     rows, models = analysis.latent_sweep(
         corpus.values,

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 ACTIVATIONS = ("tanh", "identity")
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
@@ -64,20 +68,6 @@ def forward(layer: DenseLayer, x: np.ndarray, activation: str = "identity") -> n
     return np.tanh(pre) if activation == "tanh" else pre
 
 
-@dataclass
-class LayerCache:
-    """Activations recorded by a forward pass, consumed by backward."""
-
-    x: np.ndarray  # layer input, (n, in)
-    out: np.ndarray  # post-activation output, (n, out)
-
-
-@dataclass
-class LayerGrads:
-    weights: np.ndarray
-    bias: np.ndarray
-
-
 class Mlp:
     """A stack of dense layers with per-layer activations."""
 
@@ -108,87 +98,85 @@ class Mlp:
             x = forward(layer, x, act)
         return x
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[LayerCache]]:
-        """Forward pass that records per-layer inputs/outputs for backward."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        caches = []
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Forward pass that also returns the activations backward needs:
+        the input followed by each layer's output."""
+        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
         for layer, act in zip(self.layers, self.activations):
-            out = forward(layer, x, act)
-            caches.append(LayerCache(x=x, out=out))
-            x = out
-        return x, caches
+            acts.append(forward(layer, acts[-1], act))
+        return acts[-1], acts
 
     def backward(
-        self, caches: list[LayerCache] | None, upstream: np.ndarray
-    ) -> tuple[list[LayerGrads], np.ndarray]:
+        self, acts: list[np.ndarray] | None, upstream: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray]:
         """Backpropagate upstream = dL/d(output), shape (n, out).
 
-        Returns per-layer parameter gradients (summed over the batch) and
-        dL/d(input). Requires the caches of a preceding forward_cached call.
+        Returns the parameter gradients (summed over the batch), ordered like
+        parameters(), and dL/d(input). Requires the activations of a
+        preceding forward_cached call.
         """
-        if caches is None or len(caches) != len(self.layers):
-            raise ValueError("backward requires the caches of a forward pass")
+        if acts is None or len(acts) != len(self.layers) + 1:
+            raise ValueError("backward requires the activations of a forward pass")
         g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        grads: list[LayerGrads] = [None] * len(self.layers)  # type: ignore[list-item]
+        grads: list[np.ndarray] = []
         for i in range(len(self.layers) - 1, -1, -1):
-            layer, act, cache = self.layers[i], self.activations[i], caches[i]
-            g_pre = g * (1.0 - cache.out**2) if act == "tanh" else g
-            grads[i] = LayerGrads(weights=g_pre.T @ cache.x, bias=g_pre.sum(axis=0))
-            g = g_pre @ layer.weights
-        return grads, g
+            out = acts[i + 1]
+            g_pre = g * (1.0 - out**2) if self.activations[i] == "tanh" else g
+            grads += (g_pre.sum(axis=0), g_pre.T @ acts[i])
+            g = g_pre @ self.layers[i].weights
+        return grads[::-1], g
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.layers:
-            params.extend((layer.weights, layer.bias))
-        return params
+        return parameters(self.layers)
+
+
+def parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
+    """Each layer's weights then bias, in layer order."""
+    return [p for layer in layers for p in (layer.weights, layer.bias)]
+
+
+def pack(layers: list[DenseLayer]) -> np.ndarray:
+    """Copy the layers' parameters, in parameters() order, into one flat
+    vector and rebind each weights/bias as a reshaped view of it, so an
+    update of the vector updates the layers."""
+    flat = np.concatenate([p.ravel() for p in parameters(layers)])
+    offset = 0
+    for layer in layers:
+        for name in ("weights", "bias"):
+            p = getattr(layer, name)
+            setattr(layer, name, flat[offset : offset + p.size].reshape(p.shape))
+            offset += p.size
+    return flat
 
 
 @dataclass
 class AdamState:
-    """Adam optimizer state for a flat list of parameter arrays."""
+    """Adam optimizer state for one flat parameter vector."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
-    step_count: int = 0
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not (0.0 < b < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {b}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+    step_count: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-3, **kwargs) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            lr=lr,
-            **kwargs,
+    def for_params(cls, params: np.ndarray, lr: float = 1e-3) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params), lr=lr)
+
+
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One bias-corrected Adam update (Kingma & Ba 2015), in place on the
+    flat params vector and the state."""
+    if params.shape != grads.shape or params.shape != state.first_moment.shape:
+        raise ValueError(
+            f"shape mismatch: params {params.shape}, grads {grads.shape},"
+            f" moments {state.first_moment.shape}"
         )
-
-
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One bias-corrected Adam update, in place on params and state."""
-    if not (len(params) == len(grads) == len(state.first_moment)):
-        raise ValueError("params, grads and moment buffers must align")
-    for p, g, m in zip(params, grads, state.first_moment):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g**2
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    bc1 = 1.0 - BETA1**state.step_count
+    bc2 = 1.0 - BETA2**state.step_count
+    m, v = state.first_moment, state.second_moment
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads**2
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)

@@ -23,13 +23,14 @@ is computed in the standardized space the optimizer sees.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import atomic_open
-from .nn import AdamState, DenseLayer, LayerCache, Mlp, adam_step
+from .nn import AdamState, DenseLayer, Mlp, adam_step, pack, parameters
 
 MODEL_MAGIC = b"IPVAE"
 MODEL_FORMAT_VERSION = 1
@@ -78,17 +79,17 @@ class TrainConfig:
     epochs: int = 1
     kl_weight: float = 1.0
     latent_dim: int = 2
-    shuffle: bool = True
-    hidden: tuple[int, int] = (16, 8)
     standardize: bool = True
 
     def __post_init__(self):
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.kl_weight < 0:
-            raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
+        if not 0.0 <= self.kl_weight < math.inf:
+            raise ValueError(f"kl_weight must be finite and >= 0, got {self.kl_weight}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
 
@@ -147,21 +148,17 @@ class VaeModel:
             input_dim=input_dim,
         )
 
-    def parameters(self) -> list[np.ndarray]:
+    def layers(self) -> list[DenseLayer]:
+        """Every dense layer, in parameters() order."""
         return (
-            self.encoder.parameters()
-            + [self.mu_head.weights, self.mu_head.bias]
-            + [self.logvar_head.weights, self.logvar_head.bias]
-            + self.decoder.parameters()
+            self.encoder.layers + [self.mu_head, self.logvar_head] + self.decoder.layers
         )
+
+    def parameters(self) -> list[np.ndarray]:
+        return parameters(self.layers())
 
     def hidden_widths(self) -> tuple[int, ...]:
         return tuple(layer.out_dim for layer in self.encoder.layers)
-
-
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} produced non-finite values")
 
 
 def _standardize(model: VaeModel, x: np.ndarray) -> np.ndarray:
@@ -228,14 +225,13 @@ class VaeCache:
     """Everything the loss backward pass needs from the forward pass."""
 
     x_std: np.ndarray
-    enc_caches: list[LayerCache]
+    enc_acts: list[np.ndarray]
     h_enc: np.ndarray
     mu: np.ndarray
     logvar: np.ndarray
     sigma: np.ndarray
     eps: np.ndarray
-    z: np.ndarray
-    dec_caches: list[LayerCache]
+    dec_acts: list[np.ndarray]
     x_rec_std: np.ndarray
     kl_weight: float
 
@@ -255,40 +251,43 @@ def loss_given_eps(
             f"eps shape {eps.shape} does not match (batch, K) = "
             f"({x.shape[0]}, {model.latent_dim})"
         )
-    x_std = _standardize(model, x)
-    h, enc_caches = model.encoder.forward_cached(x_std)
-    for i, cache in enumerate(enc_caches, start=1):
-        _check_finite(f"encoder hidden layer {i}", cache.out)
-    mu = h @ model.mu_head.weights.T + model.mu_head.bias
-    _check_finite("latent mean head", mu)
-    logvar = h @ model.logvar_head.weights.T + model.logvar_head.bias
-    _check_finite("latent log-variance head", logvar)
-    with np.errstate(over="ignore"):  # overflow lands in the finite check
+    # Every overflow or invalid operation ends in a non-finite total, so one
+    # check on it replaces a check per stage; the stages are scanned only to
+    # name the first that failed.
+    with np.errstate(all="ignore"):
+        x_std = _standardize(model, x)
+        h, enc_acts = model.encoder.forward_cached(x_std)
+        mu = h @ model.mu_head.weights.T + model.mu_head.bias
+        logvar = h @ model.logvar_head.weights.T + model.logvar_head.bias
         sigma = np.exp(0.5 * logvar)
-    _check_finite("latent standard deviation", sigma)
-    z = mu + eps * sigma
-    x_rec, dec_caches = model.decoder.forward_cached(z)
-    for i, cache in enumerate(dec_caches, start=1):
-        _check_finite(f"decoder layer {i}", cache.out)
-    nll = np.sum((x_std - x_rec) ** 2, axis=1)
-    kl = kl_term(mu, logvar)
-    nll_mean = float(np.mean(nll))
-    kl_mean = float(np.mean(kl))
-    report = LossReport(
-        total=nll_mean + kl_weight * kl_mean, nll=nll_mean, kl=kl_mean
-    )
-    if not np.isfinite(report.total):
-        raise NonFiniteError("loss terms produced non-finite values")
+        z = mu + eps * sigma
+        x_rec, dec_acts = model.decoder.forward_cached(z)
+        nll_mean = float(np.mean(np.sum((x_std - x_rec) ** 2, axis=1)))
+        kl_mean = float(np.mean(kl_term(mu, logvar)))
+        report = LossReport(
+            total=nll_mean + kl_weight * kl_mean, nll=nll_mean, kl=kl_mean
+        )
+    if not math.isfinite(report.total):
+        stages = [
+            *((f"encoder hidden layer {i}", a) for i, a in enumerate(enc_acts[1:], 1)),
+            ("latent mean head", mu),
+            ("latent log-variance head", logvar),
+            ("latent standard deviation", sigma),
+            *((f"decoder layer {i}", a) for i, a in enumerate(dec_acts[1:], 1)),
+        ]
+        name = next(
+            (name for name, a in stages if not np.all(np.isfinite(a))), "loss terms"
+        )
+        raise NonFiniteError(f"{name} produced non-finite values")
     cache = VaeCache(
         x_std=x_std,
-        enc_caches=enc_caches,
+        enc_acts=enc_acts,
         h_enc=h,
         mu=mu,
         logvar=logvar,
         sigma=sigma,
         eps=eps,
-        z=z,
-        dec_caches=dec_caches,
+        dec_acts=dec_acts,
         x_rec_std=x_rec,
         kl_weight=kl_weight,
     )
@@ -316,7 +315,7 @@ def loss_backward(model: VaeModel, cache: VaeCache) -> list[np.ndarray]:
     beta = cache.kl_weight
 
     d_xrec = 2.0 * (cache.x_rec_std - cache.x_std) / n
-    dec_grads, d_z = model.decoder.backward(cache.dec_caches, d_xrec)
+    dec_grads, d_z = model.decoder.backward(cache.dec_acts, d_xrec)
 
     d_mu = d_z + beta * cache.mu / n
     d_logvar = d_z * (0.5 * cache.eps * cache.sigma) + beta * 0.5 * (
@@ -330,15 +329,8 @@ def loss_backward(model: VaeModel, cache: VaeCache) -> list[np.ndarray]:
     lv_b_grad = d_logvar.sum(axis=0)
     d_h = d_mu @ model.mu_head.weights + d_logvar @ model.logvar_head.weights
 
-    enc_grads, _ = model.encoder.backward(cache.enc_caches, d_h)
-
-    flat: list[np.ndarray] = []
-    for g in enc_grads:
-        flat.extend((g.weights, g.bias))
-    flat.extend((mu_w_grad, mu_b_grad, lv_w_grad, lv_b_grad))
-    for g in dec_grads:
-        flat.extend((g.weights, g.bias))
-    return flat
+    enc_grads, _ = model.encoder.backward(cache.enc_acts, d_h)
+    return enc_grads + [mu_w_grad, mu_b_grad, lv_w_grad, lv_b_grad] + dec_grads
 
 
 def train(
@@ -351,7 +343,9 @@ def train(
     model and one report per step.
 
     Batches are reshuffled each epoch with a seeded permutation; a trailing
-    partial batch is dropped. Deterministic given (corpus, config).
+    partial batch is dropped. Deterministic given (corpus, config). Trains
+    the model in place: its weights and biases become views of the one flat
+    vector that Adam updates.
     """
     values = np.asarray(corpus, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
@@ -375,12 +369,12 @@ def train(
         model.input_offset = 0.0
         model.input_scale = 1.0
 
-    params = model.parameters()
+    params = pack(model.layers())
     opt = AdamState.for_params(params, lr=config.lr)
     reports: list[LossReport] = []
     steps_per_epoch = n // config.batch_size
     for _ in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for b in range(steps_per_epoch):
             batch = values[order[b * config.batch_size : (b + 1) * config.batch_size]]
             eps = rng.standard_normal((config.batch_size, model.latent_dim))
@@ -390,7 +384,7 @@ def train(
             except NonFiniteError as exc:
                 raise TrainingDivergedError(step, str(exc)) from exc
             grads = loss_backward(model, cache)
-            adam_step(opt, params, grads)
+            adam_step(opt, params, np.concatenate([g.ravel() for g in grads]))
             report.step = step
             reports.append(report)
     return model, reports
@@ -406,7 +400,6 @@ def train_new(
     model = VaeModel.initialize(
         input_dim=values.shape[1],
         latent_dim=config.latent_dim,
-        hidden=config.hidden,
         rng=rng,
     )
     return train(model, values, config, rng=rng)

@@ -91,6 +91,21 @@ class TestTrain:
         assert code == 4
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--lr", "lr", "nan"),
+        ("--lr", "lr", "inf"),
+        ("--lr", "lr", 0),
+        ("--kl-weight", "kl_weight", "nan"),
+        ("--kl-weight", "kl_weight", "inf"),
+        ("--kl-weight", "kl_weight", -1),
+    ])
+    def test_bad_setting_exit_code(self, pipeline, tmp_path, capsys, flag, field, value):
+        code = run("train", "--corpus", pipeline / "synth" / "contaminated.csv",
+                   flag, value, "--seed", 3, "--out", tmp_path / "out")
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_corpus_exit_code(self, tmp_path):
         assert run("train", "--corpus", tmp_path / "missing.csv",
                    "--seed", 3, "--out", tmp_path) == 5
@@ -134,6 +149,14 @@ class TestDenoise:
             assert fa == fb
         assert all(r.split(",")[flag_col] == "0" for r in b[1:])
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exit_code(self, pipeline, tmp_path, capsys, threshold):
+        assert run("denoise", "--model", pipeline / "train" / "model.ipvae",
+                   "--input", pipeline / "synth" / "contaminated.csv",
+                   "--threshold", threshold, "--seed", 3,
+                   "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.startswith("error: threshold must be finite")
+        assert not (tmp_path / "out").exists()
 
     def test_results_formatted_like_write_rows(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"

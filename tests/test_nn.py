@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ipvae.nn import AdamState, DenseLayer, Mlp, adam_step, forward
+from ipvae.nn import AdamState, DenseLayer, Mlp, adam_step, forward, pack
 
 
 def finite_difference_grads(net, x, upstream_weights, h=1e-5):
@@ -71,11 +71,11 @@ class TestBackward:
             )
             x = rng.normal(0, 1, (3, dims[0]))
             w = rng.normal(0, 1, (3, dims[3]))
-            _, caches = net.forward_cached(x)
-            grads, _ = net.backward(caches, w)
+            _, acts = net.forward_cached(x)
+            grads, _ = net.backward(acts, w)
             fd = finite_difference_grads(net, x, w)
-            flat = [p for lg in grads for p in (lg.weights, lg.bias)]
-            for a, f in zip(flat, fd):
+            assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+            for a, f in zip(grads, fd):
                 denom = np.maximum(1e-8, np.abs(a) + np.abs(f))
                 rel = np.abs(a - f) / denom
                 rel[np.abs(a - f) < 1e-9] = 0.0
@@ -85,10 +85,11 @@ class TestBackward:
         rng = np.random.default_rng(3)
         net = Mlp([DenseLayer.glorot(3, 4, rng), DenseLayer.glorot(2, 3, rng)],
                   ["tanh", "identity"])
-        _, caches = net.forward_cached(rng.normal(0, 1, (2, 4)))
-        grads, dx = net.backward(caches, np.zeros((2, 2)))
+        _, acts = net.forward_cached(rng.normal(0, 1, (2, 4)))
+        grads, dx = net.backward(acts, np.zeros((2, 2)))
+        assert len(grads) == 4
         for g in grads:
-            assert np.all(g.weights == 0.0) and np.all(g.bias == 0.0)
+            assert np.all(g == 0.0)
         assert np.all(dx == 0.0)
 
     def test_linear_layer_closed_form(self):
@@ -97,12 +98,12 @@ class TestBackward:
         net = Mlp([DenseLayer.glorot(3, 5, rng)], ["identity"])
         x = rng.normal(0, 1, 5)
         y = rng.normal(0, 1, 3)
-        out, caches = net.forward_cached(x)
+        out, acts = net.forward_cached(x)
         resid = out[0] - y
-        grads, _ = net.backward(caches, 2.0 * resid[None, :])
+        grads, _ = net.backward(acts, 2.0 * resid[None, :])
         expected_w = 2.0 * np.outer(resid, x)
-        assert np.allclose(grads[0].weights, expected_w, rtol=1e-12)
-        assert np.allclose(grads[0].bias, 2.0 * resid, rtol=1e-12)
+        assert np.allclose(grads[0], expected_w, rtol=1e-12)
+        assert np.allclose(grads[1], 2.0 * resid, rtol=1e-12)
 
     def test_backward_without_cache_errors(self):
         rng = np.random.default_rng(5)
@@ -111,58 +112,74 @@ class TestBackward:
             net.backward(None, np.zeros((1, 3)))
 
 
+class TestPack:
+    def test_layers_become_views_of_one_vector(self):
+        rng = np.random.default_rng(6)
+        net = Mlp([DenseLayer.glorot(3, 4, rng), DenseLayer.glorot(2, 3, rng)],
+                  ["tanh", "identity"])
+        before = [p.copy() for p in net.parameters()]
+        flat = pack(net.layers)
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in before]))
+        for p, b in zip(net.parameters(), before):
+            assert p.shape == b.shape and np.array_equal(p, b)
+            assert np.shares_memory(p, flat)
+        flat -= 1.0
+        for p, b in zip(net.parameters(), before):
+            assert np.array_equal(p, b - 1.0)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        params = np.array([1.0, -2.0, 3.0])
         state = AdamState.for_params(params)
-        before = [p.copy() for p in params]
-        adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-        for p, b in zip(params, before):
-            assert np.array_equal(p, b)
+        before = params.copy()
+        adam_step(state, params, np.zeros(3))
+        assert np.array_equal(params, before)
         assert state.step_count == 1
 
     def test_first_step_magnitude(self):
         # m-hat = v-hat = 1 at step 1, so the update is ~ -lr
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, lr=1e-3)
-        adam_step(state, params, [np.array([1.0])])
+        adam_step(state, params, np.array([1.0]))
         expected = -1e-3 / (1.0 + 1e-8)
-        assert params[0][0] == pytest.approx(expected, abs=1e-12)
-        assert params[0][0] == pytest.approx(-9.99999995e-4, abs=1e-11)
+        assert params[0] == pytest.approx(expected, abs=1e-12)
+        assert params[0] == pytest.approx(-9.99999995e-4, abs=1e-11)
 
     def test_constant_gradient_keeps_lr_sized_steps(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, lr=1e-3)
-        prev = params[0][0]
+        prev = params[0]
         for _ in range(10):
-            adam_step(state, params, [np.array([0.5])])
-            step = abs(params[0][0] - prev)
+            adam_step(state, params, np.array([0.5]))
+            step = abs(params[0] - prev)
             assert step == pytest.approx(1e-3, rel=1e-6)
-            prev = params[0][0]
+            prev = params[0]
 
     def test_alternating_gradient_damps_steps(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, lr=1e-3)
         sizes = []
-        prev = params[0][0]
+        prev = params[0]
         for t in range(6):
             g = 1.0 if t % 2 == 0 else -1.0
-            adam_step(state, params, [np.array([g])])
-            sizes.append(abs(params[0][0] - prev))
-            prev = params[0][0]
+            adam_step(state, params, np.array([g]))
+            sizes.append(abs(params[0] - prev))
+            prev = params[0]
         # oscillating gradients shrink the first moment, so all later steps
         # stay below the first and below the constant-gradient step size
         assert all(s < sizes[0] for s in sizes[1:])
         assert all(s < 1e-3 for s in sizes[1:])
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = AdamState.for_params(params)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(state, params, [np.zeros(4)])
+            adam_step(state, params, np.zeros(4))
 
     def test_moment_buffers_start_at_zero(self):
-        state = AdamState.for_params([np.ones((2, 2))])
-        assert np.all(state.first_moment[0] == 0.0)
-        assert np.all(state.second_moment[0] == 0.0)
+        state = AdamState.for_params(np.ones(4))
+        assert state.first_moment.shape == state.second_moment.shape == (4,)
+        assert np.all(state.first_moment == 0.0)
+        assert np.all(state.second_moment == 0.0)
         assert state.step_count == 0

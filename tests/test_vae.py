@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ipvae.vae import (
     ModelIntegrityError,
     ModelTruncatedError,
     ModelVersionError,
+    NonFiniteError,
     TrainConfig,
     TrainingDivergedError,
     VaeModel,
@@ -170,16 +173,78 @@ class TestLoss:
         with pytest.raises(ValueError, match="cache"):
             loss_backward(toy_model, None)
 
-    def test_non_finite_error_names_the_stage(self):
-        from ipvae.vae import NonFiniteError
-
+    # tanh layers map inf to +-1, so they are broken with NaN
+    @pytest.mark.parametrize("layer, value, stage", [
+        (lambda m: m.encoder.layers[0], np.nan, "encoder hidden layer 1"),
+        (lambda m: m.encoder.layers[1], np.nan, "encoder hidden layer 2"),
+        (lambda m: m.mu_head, np.inf, "latent mean head"),
+        (lambda m: m.logvar_head, np.nan, "latent log-variance head"),
+        (lambda m: m.logvar_head, 1e4, "latent standard deviation"),  # exp(5000)
+        (lambda m: m.decoder.layers[0], np.nan, "decoder layer 1"),
+        (lambda m: m.decoder.layers[2], np.inf, "decoder layer 3"),
+        (lambda m: m.mu_head, 1e200, "loss terms"),  # mu**2 overflows in the KL
+    ], ids=["encoder-1", "encoder-2", "mu-head", "logvar-head", "sigma-overflow",
+            "decoder-1", "decoder-3", "loss-terms"])
+    def test_non_finite_error_names_the_stage(self, layer, value, stage):
         model = VaeModel.initialize(input_dim=6, latent_dim=2, hidden=(5, 3), rng=1)
-        model.logvar_head.bias[:] = 1e4  # exp(5000) overflows to inf
-        with pytest.raises(NonFiniteError, match="standard deviation"):
-            loss_given_eps(model, np.ones((1, 6)), np.zeros((1, 2)))
+        layer(model).bias[:] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteError) as exc_info:
+                loss_given_eps(model, np.ones((1, 6)), np.zeros((1, 2)))
+        assert str(exc_info.value) == f"{stage} produced non-finite values"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _train_reference(corpus, config):
+    """train_new with Adam written as a loop over the separate arrays of
+    model.parameters() instead of one update of the packed vector."""
+    rng = np.random.default_rng(config.seed)
+    model = VaeModel.initialize(
+        input_dim=corpus.shape[1], latent_dim=config.latent_dim, rng=rng
+    )
+    model.input_offset = float(corpus.mean())
+    model.input_scale = float(corpus.std())
+    params = model.parameters()
+    first = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+    reports = []
+    t = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(corpus))
+        for b in range(len(corpus) // config.batch_size):
+            batch = corpus[order[b * config.batch_size : (b + 1) * config.batch_size]]
+            eps = rng.standard_normal((config.batch_size, model.latent_dim))
+            report, cache = loss_given_eps(model, batch, eps, config.kl_weight)
+            t += 1
+            report.step = t
+            reports.append(report)
+            bc1 = 1.0 - beta1**t
+            bc2 = 1.0 - beta2**t
+            for p, g, m, v in zip(params, loss_backward(model, cache), first, second):
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * g**2
+                p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+    return model, reports
 
 
 class TestTrain:
+    @pytest.mark.parametrize("config", [
+        TrainConfig(seed=3),
+        TrainConfig(seed=3, epochs=2, kl_weight=0.5, lr=3e-3),
+    ])
+    def test_bit_equal_to_per_array_adam(self, small_corpus, config):
+        _, noisy = small_corpus
+        sub = noisy[:2000]
+        model, reports = train_new(sub, config)
+        ref_model, ref_reports = _train_reference(sub, config)
+        for a, b in zip(model.parameters(), ref_model.parameters(), strict=True):
+            assert np.array_equal(a, b)
+        assert reports == ref_reports
+
     def test_deterministic_end_to_end(self, small_corpus):
         _, noisy = small_corpus
         sub = noisy[:2000]
