@@ -69,46 +69,42 @@ class SnrHistogram:
         return int(self.counts.sum()) + self.inf_count
 
 
-def rmse(x, x_prime) -> float:
-    """Root-mean-square misfit, in mV/V (mean over windows inside the root)."""
+def _same_shape(x, x_prime) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     x_prime = np.asarray(x_prime, dtype=np.float64)
     if x.shape != x_prime.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {x_prime.shape}")
-    return float(np.sqrt(np.mean((x - x_prime) ** 2)))
+    return x, x_prime
 
 
-def rmse_rows(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
-    """Per-row RMSE for (n, d) arrays."""
-    return np.sqrt(np.mean((x - x_prime) ** 2, axis=1))
+def rmse(x, x_prime):
+    """Root-mean-square misfit over the last axis, in mV/V (mean over windows
+    inside the root): a scalar for one decay (d,), one value per row for an
+    (n, d) matrix."""
+    x, x_prime = _same_shape(x, x_prime)
+    return np.sqrt(np.mean((x - x_prime) ** 2, axis=-1))
 
 
-def peak_snr(x, x_prime) -> float:
-    """20 log10(dynamic range / raw misfit norm), in dB.
+def peak_snr(x, x_prime):
+    """20 log10(dynamic range / raw misfit norm) over the last axis, in dB:
+    a scalar for one decay (d,), one value per row for an (n, d) matrix.
 
-    Returns +inf when the misfit is exactly zero; raises on constant x,
+    Gives +inf where the misfit is exactly zero; raises on a constant x,
     whose dynamic range is undefined for this ratio.
     """
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    if x.shape != x_prime.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {x_prime.shape}")
-    data_range = float(np.max(x) - np.min(x))
-    if data_range == 0.0:
+    x, x_prime = _same_shape(x, x_prime)
+    data_range = np.max(x, axis=-1) - np.min(x, axis=-1)
+    if np.any(data_range == 0.0):
         raise ValueError("peak S/N is undefined for a constant input (zero range)")
-    misfit = float(np.linalg.norm(x - x_prime))
-    if misfit == 0.0:
-        return math.inf
-    return 20.0 * math.log10(data_range / misfit)
-
-
-def _peak_snr_rows(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
-    ranges = x.max(axis=1) - x.min(axis=1)
-    if np.any(ranges == 0.0):
-        raise ValueError("peak S/N is undefined for a constant input (zero range)")
-    misfit = np.linalg.norm(x - x_prime, axis=1)
+    misfit = np.linalg.norm(x - x_prime, axis=-1)
     with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(ranges / misfit)
+        return 20.0 * np.log10(data_range / misfit)
+
+
+def check_threshold(threshold: float) -> None:
+    """Reject a non-finite outlier threshold."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
 
 
 def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
@@ -183,17 +179,16 @@ def denoise_all(
     The outlier flag is the reconstruction-RMSE rule: inputs farther than
     ``threshold`` (mV/V) from their median reconstruction are flagged.
     """
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    check_threshold(threshold)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     med, lo, hi = denoise_matrix(model, values, n_realizations, rng)
-    errs = rmse_rows(values, med)
+    errs = rmse(values, med)
     return DenoiseResult(
         median=med,
         ci_low=lo,
         ci_high=hi,
         rmse=errs,
-        peak_snr=_peak_snr_rows(values, med),
+        peak_snr=peak_snr(values, med),
         outlier=errs > threshold,
     )
 
@@ -338,11 +333,9 @@ def latent_sweep(
         try:
             model, reports = vae_mod.train_new(values, replace(config, latent_dim=k))
             total, nll, kl = loss_at_convergence(reports)
-            med, _, _ = denoise_matrix(
-                model, values, n_realizations=n_realizations, rng=config.seed
-            )
-            train_rmse = float(np.mean(rmse_rows(values, med)))
-            snrs = _peak_snr_rows(values, med)
+            res = denoise_all(model, values, n_realizations=n_realizations, rng=config.seed)
+            train_rmse = float(np.mean(res.rmse))
+            snrs = res.peak_snr
             train_snr = float(np.mean(snrs[np.isfinite(snrs)]))
             generated = vae_mod.sample_matrix(
                 model, values.shape[0], sigma_scale=1.0, rng=config.seed + 1
@@ -394,8 +387,8 @@ def denoising_benchmark(
             model, noisy, n_realizations=n_realizations, rng=rng
         )
         per_method = {
-            "none": rmse_rows(noisy, truth),
-            "ip_vae": rmse_rows(med, truth),
+            "none": rmse(noisy, truth),
+            "ip_vae": rmse(med, truth),
         }
         for name, kind in (("ma", "MA"), ("ema", "EMA"), ("butterworth", "Butterworth")):
             _, _, errs = flt.tune_batch(kind, noisy, truth)

@@ -22,33 +22,13 @@ import numpy as np
 from . import __version__, analysis
 from . import data as data_mod
 from . import vae as vae_mod
-from .data import DecayFormatError, DecaySet, SyntheticSpec, WindowScheme, atomic_open
+from .data import (DecayFormatError, DecaySet, SyntheticSpec, WindowScheme, atomic_open,
+                   write_table)
 from .vae import ModelFileError, TrainConfig, TrainingDivergedError
 
 EXIT_VALIDATION = 3
 EXIT_DIVERGED = 4
 EXIT_IO = 5
-
-
-def _fmt(value) -> str:
-    if type(value) is float:
-        return repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_rows(path, header: list[str], rows) -> None:
-    with atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -143,10 +123,11 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     model_path = os.path.join(out, "model.ipvae")
     vae_mod.save(model, model_path)
-    _write_rows(
+    write_table(
         os.path.join(out, "loss_curve.csv"),
-        ["step", "total", "nll", "kl"],
-        ([r.step, r.total, r.nll, r.kl] for r in reports),
+        "step,total,nll,kl",
+        np.array([r.step for r in reports]),
+        np.array([[r.total, r.nll, r.kl] for r in reports]),
     )
     smoothed = vae_mod.smooth_curve([r.total for r in reports])
     total, nll, kl = analysis.loss_at_convergence(reports)
@@ -168,20 +149,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _result_lines(res: analysis.DenoiseResult, chunk: int = 4096):
-    """results.csv data lines, formatted like ``data.write_decays`` from
-    ``tolist()`` one chunk of rows at a time."""
-    for start in range(0, len(res.rmse), chunk):
-        part = slice(start, start + chunk)
-        bands = np.hstack((res.median[part], res.ci_low[part], res.ci_high[part]))
-        for i, err, snr, flag, band in zip(
-            range(start, start + chunk), res.rmse[part].tolist(),
-            res.peak_snr[part].tolist(), res.outlier[part].tolist(), bands.tolist(),
-        ):
-            yield f"{i},{err!r},{snr!r},{'1' if flag else '0'},{','.join(map(repr, band))}\n"
-
-
 def cmd_denoise(args) -> int:
+    analysis.check_threshold(args.threshold)
     model = vae_mod.load(args.model)
     values = data_mod.read_decays(args.input).values
     res = analysis.denoise_all(
@@ -191,17 +160,15 @@ def cmd_denoise(args) -> int:
         threshold=args.threshold,
         rng=args.seed,
     )
-    d = model.input_dim
-    header = (
-        ["id", "rmse_mv_per_v", "peak_snr_db", "outlier"]
-        + [f"med_m{j + 1}" for j in range(d)]
-        + [f"lo_m{j + 1}" for j in range(d)]
-        + [f"hi_m{j + 1}" for j in range(d)]
-    )
+    windows = range(1, model.input_dim + 1)
     out = _out_dir(args)
-    with atomic_open(os.path.join(out, "results.csv")) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(_result_lines(res))
+    write_table(
+        os.path.join(out, "results.csv"),
+        ",".join(["id", "rmse_mv_per_v", "peak_snr_db", "outlier"]
+                 + [f"{band}_m{j}" for band in ("med", "lo", "hi") for j in windows]),
+        np.arange(len(values)), res.rmse, res.peak_snr, res.outlier,
+        res.median, res.ci_low, res.ci_high,
+    )
     finite = res.peak_snr[np.isfinite(res.peak_snr)]
     n_outliers = int(np.sum(res.outlier))
     if n_outliers > len(values) / 2:
@@ -234,10 +201,11 @@ def cmd_bench(args) -> int:
         model, args.n, (args.sigma,), seed=args.seed, n_realizations=args.realizations
     )[args.sigma]
     out = _out_dir(args)
-    _write_rows(
+    write_table(
         os.path.join(out, "comparison.csv"),
-        ["method", "mean_rmse_mv_per_v", "std_rmse_mv_per_v"],
-        ([m, table[m][0], table[m][1]] for m in analysis.BENCH_METHODS),
+        "method,mean_rmse_mv_per_v,std_rmse_mv_per_v",
+        np.array(analysis.BENCH_METHODS),
+        np.array([table[m] for m in analysis.BENCH_METHODS]),
     )
     sigmas = _parse_sigmas(args.sigmas)
     sweep = analysis.denoising_benchmark(
@@ -247,14 +215,13 @@ def cmd_bench(args) -> int:
         seed=args.seed + 1,
         n_realizations=args.realizations,
     )
-    _write_rows(
+    methods = analysis.BENCH_METHODS
+    write_table(
         os.path.join(out, "noise_sweep.csv"),
-        ["sigma_mv_per_v", "method", "mean_rmse_mv_per_v", "std_rmse_mv_per_v"],
-        (
-            [s, m, sweep[s][m][0], sweep[s][m][1]]
-            for s in sigmas
-            for m in analysis.BENCH_METHODS
-        ),
+        "sigma_mv_per_v,method,mean_rmse_mv_per_v,std_rmse_mv_per_v",
+        np.repeat(sigmas, len(methods)),
+        np.tile(methods, len(sigmas)),
+        np.array([sweep[s][m] for s in sigmas for m in methods]),
     )
     slopes = {
         m: analysis.fitted_slope(
@@ -299,13 +266,11 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     for model in models:
         vae_mod.save(model, os.path.join(out, f"model_k{model.latent_dim}.ipvae"))
-    _write_rows(
+    write_table(
         os.path.join(out, "sweep.csv"),
-        ["latent_dim", "nll", "kl", "train_snr_db", "train_rmse_mv_per_v", "dlc_diff"],
-        (
-            [r.latent_dim, r.nll, r.kl, r.train_snr_db, r.train_rmse, r.dlc_diff]
-            for r in rows
-        ),
+        "latent_dim,nll,kl,train_snr_db,train_rmse_mv_per_v,dlc_diff",
+        np.array([r.latent_dim for r in rows]),
+        np.array([[r.nll, r.kl, r.train_snr_db, r.train_rmse, r.dlc_diff] for r in rows]),
     )
     _write_json(
         os.path.join(out, "summary.json"),
@@ -332,26 +297,22 @@ def cmd_report(args) -> int:
         n_realizations=args.realizations,
         rng=args.seed,
     )
-    hist_rows = [
-        [hist.bin_edges[i], hist.bin_edges[i + 1], int(hist.counts[i])]
-        for i in range(len(hist.counts))
-    ]
     # sentinel row for perfect reconstructions, so counts still sum to n
-    hist_rows.append([float("inf"), float("inf"), hist.inf_count])
-    _write_rows(
+    write_table(
         os.path.join(out, "snr_histogram.csv"),
-        ["bin_low_db", "bin_high_db", "count"],
-        hist_rows,
+        "bin_low_db,bin_high_db,count",
+        np.append(hist.bin_edges[:-1], np.inf),
+        np.append(hist.bin_edges[1:], np.inf),
+        np.append(hist.counts, hist.inf_count),
     )
 
     mu, _ = vae_mod.encode(model, values)
     m_bar = data_mod.average_chargeability(values)
-    _write_rows(
+    write_table(
         os.path.join(out, "latent_scatter.csv"),
-        ["id"]
-        + [f"mu_{k + 1}" for k in range(model.latent_dim)]
-        + ["avg_chargeability_mv_per_v"],
-        ([i, *row, avg] for i, (row, avg) in enumerate(zip(mu.tolist(), m_bar.tolist()))),
+        ",".join(["id", *(f"mu_{k + 1}" for k in range(model.latent_dim)),
+                  "avg_chargeability_mv_per_v"]),
+        np.arange(len(values)), mu, m_bar,
     )
 
     amplitude_range = analysis.density_range(values)
@@ -367,14 +328,12 @@ def cmd_report(args) -> int:
     for name, chart in (("density_corpus", corpus_chart), ("density_model", model_chart)):
         lo, hi = chart.amplitude_range
         width = (hi - lo) / chart.bins
-        _write_rows(
+        edges = lo + np.arange(chart.bins + 1) * width
+        write_table(
             os.path.join(out, f"{name}.csv"),
-            ["bin_low_mv_per_v", "bin_high_mv_per_v"]
-            + [f"w{j + 1}" for j in range(model.input_dim)],
-            (
-                [lo + b * width, lo + (b + 1) * width] + list(chart.grid[b])
-                for b in range(chart.bins)
-            ),
+            ",".join(["bin_low_mv_per_v", "bin_high_mv_per_v",
+                      *(f"w{j + 1}" for j in range(model.input_dim))]),
+            edges[:-1], edges[1:], chart.grid,
         )
 
     corr = analysis.latent_chargeability_correlation(model, values)

@@ -6,7 +6,8 @@ is switched off. Computations hold a corpus as an (n, d) float64 matrix, one
 decay per row. This module generates synthetic corpora from a
 stretched-exponential relaxation family, contaminates them with Gaussian
 noise and spikes, reads/writes the ``ipvae-decays v1`` CSV format through
-:class:`DecaySet`, and writes output files atomically.
+:class:`DecaySet`, and writes every output file atomically; every CSV table,
+decay files included, goes through :func:`write_table`.
 """
 
 from __future__ import annotations
@@ -230,37 +231,77 @@ def atomic_open(path, mode: str = "w"):
 
 # --- CSV I/O ---------------------------------------------------------------
 
-def _fmt_opt(value: float) -> str:
-    return "" if math.isnan(value) else repr(value)
-
-
 def _fmt_num(value: float) -> str:
     # integral durations keep the short form ("120"); others round-trip
     value = float(value)
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def write_decays(decays: DecaySet, path, format: str = "csv") -> None:
+def _row_fields(block: np.ndarray) -> list[str]:
+    """Text of each row of one chunk of a column block."""
+    kind = block.dtype.kind
+    if kind == "b":
+        block = block.astype(np.uint8)
+    fmt = repr if kind == "f" else str
+    rows = block.tolist()
+    text = list(map(fmt, rows)) if block.ndim == 1 else [",".join(map(fmt, r)) for r in rows]
+    if kind == "f" and np.isnan(block).any():
+        # no float's repr contains "nan" except NaN's own
+        text = [t.replace("nan", "") for t in text]
+    return text
+
+
+def write_table(path, header: str, *columns) -> None:
+    """Write a CSV table atomically: the ``header`` text (the column names,
+    after any leading comment lines), then one line per row of the column
+    blocks, each an (n,) or (n, k) array.
+
+    This is the one place that sets the text of a number in an output file.
+    Floats are written in shortest round-trip form (``repr``), NaN as an
+    empty field; integers in decimal, bools as ``1``/``0``, strings as they
+    are. Rows are formatted 4096 at a time; adjacent float blocks are
+    stacked per chunk, so each row's floats take one join.
+    """
+    blocks = [np.asarray(c) for c in columns]
+    n = len(blocks[0])
+    width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+    names = header.rsplit("\n", 1)[-1].split(",")
+    if any(len(b) != n for b in blocks) or width != len(names):
+        raise ValueError(
+            f"{len(names)} column names for blocks of shapes {[b.shape for b in blocks]}"
+        )
+    groups: list[list[np.ndarray]] = []
+    for b in blocks:
+        if groups and b.dtype.kind == "f" and groups[-1][-1].dtype.kind == "f":
+            groups[-1].append(b)
+        else:
+            groups.append([b])
+    with atomic_open(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, 4096):
+            rows = slice(start, start + 4096)
+            fields = [
+                _row_fields(np.column_stack([b[rows] for b in g]) if len(g) > 1 else g[0][rows])
+                for g in groups
+            ]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
+def write_decays(decays: DecaySet, path) -> None:
     """Write a decay set to ``path`` in the ipvae-decays v1 CSV format.
 
     Floats are written with repr so a read-back reproduces them bit-exactly;
     empty (NaN) metadata fields are left blank. Row ids are the sequential
     row position.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     scheme = decays.scheme
     header = (
         f"{CSV_MAGIC}; d={scheme.count};"
-        f" delay_ms={_fmt_num(scheme.delay_ms)}; window_ms={_fmt_num(scheme.window_ms)}"
+        f" delay_ms={_fmt_num(scheme.delay_ms)}; window_ms={_fmt_num(scheme.window_ms)}\n"
+        + ",".join([*_META_COLUMNS, *(f"m{j + 1}" for j in range(scheme.count))])
     )
-    columns = list(_META_COLUMNS) + [f"m{j + 1}" for j in range(scheme.count)]
-    meta = np.column_stack((decays.vp_mv, decays.current_ma, decays.label)).tolist()
-    with atomic_open(path) as fh:
-        fh.write(header + "\n" + ",".join(columns) + "\n")
-        for i, (row, opt) in enumerate(zip(decays.values, meta)):
-            fields = [str(i), *map(_fmt_opt, opt), *map(repr, row.tolist())]
-            fh.write(",".join(fields) + "\n")
+    write_table(path, header, np.arange(len(decays)), decays.vp_mv, decays.current_ma,
+                decays.label, decays.values)
 
 
 def _parse_header(line: str, path) -> WindowScheme:
@@ -344,14 +385,12 @@ def _read_lines(lines: list[str], columns: list[str], scheme: WindowScheme, path
     return _decay_set(np.array(rows), columns, scheme)
 
 
-def read_decays(path, format: str = "csv") -> DecaySet:
+def read_decays(path) -> DecaySet:
     """Read a decay file written by :func:`write_decays`.
 
     Unknown extra columns are ignored with a warning; malformed rows raise
     :class:`DecayFormatError` naming the offending line and column.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     with open(path, "r", encoding="utf-8") as fh:
         head = [fh.readline() for _ in range(2)]
         if not head[1]:

@@ -26,7 +26,7 @@ from ipvae.analysis import (
     dlc_difference,
     fitted_slope,
     latent_sweep,
-    rmse_rows,
+    rmse,
 )
 from ipvae.cli import main as cli_main
 from ipvae.data import SyntheticSpec, synthesize_corpus
@@ -271,7 +271,7 @@ def test_criterion_10_outlier_flagging(canonical_model):
     in_dist = clean + rng.normal(0.0, 0.3, clean.shape)
 
     med, _, _ = denoise_matrix(model, in_dist, n_realizations=100, rng=31)
-    false_positive = float(np.mean(rmse_rows(in_dist, med) > 1.0))
+    false_positive = float(np.mean(rmse(in_dist, med) > 1.0))
     assert false_positive <= 0.05
 
     spiked = in_dist.copy()
@@ -280,7 +280,7 @@ def test_criterion_10_outlier_flagging(canonical_model):
     signs = rng.choice((-1.0, 1.0), spiked.shape[0])
     spiked[np.arange(spiked.shape[0]), cols] += signs * magnitudes
     med2, _, _ = denoise_matrix(model, spiked, n_realizations=100, rng=32)
-    detected = float(np.mean(rmse_rows(spiked, med2) > 1.0))
+    detected = float(np.mean(rmse(spiked, med2) > 1.0))
     assert detected >= 0.95
     print(f"ACCEPTANCE 10 PASS: spike detection {detected * 100:.1f}% >= 95%, "
           f"false positives {false_positive * 100:.1f}% <= 5%")

@@ -86,6 +86,29 @@ class TestPeakSnr:
         assert all(a > b for a, b in zip(means, means[1:]))
 
 
+class TestRowMetrics:
+    def test_row_values_equal_per_row_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 3, (50, 20))
+        x_prime = x + rng.normal(0, 1, (50, 20))
+        x_prime[7] = x[7]  # exact match: +inf S/N, zero RMSE
+        for metric in (rmse, peak_snr):
+            rows = metric(x, x_prime)
+            assert rows.shape == (50,)
+            assert np.array_equal(rows, [metric(a, b) for a, b in zip(x, x_prime)])
+        assert rmse(x, x_prime)[7] == 0.0 and math.isinf(peak_snr(x, x_prime)[7])
+
+    def test_row_checks(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            rmse(np.ones((3, 20)), np.ones((3, 19)))
+        with pytest.raises(ValueError, match="mismatch"):
+            peak_snr(np.ones((3, 20)), np.ones((2, 20)))
+        x = np.linspace(0, 5, 60).reshape(3, 20)
+        x[1] = 4.0
+        with pytest.raises(ValueError, match="constant"):
+            peak_snr(x, np.zeros_like(x))
+
+
 class TestDenoise:
     def test_reproducible(self, small_model, small_corpus):
         model, _ = small_model

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ipvae import analysis, data, vae
-from ipvae.cli import _fmt, _result_lines, _write_rows, main
+from ipvae.cli import main
+from ipvae.data import write_table
 
 DATA_FILES = {
     "synth": ["ground_truth.csv", "contaminated.csv"],
@@ -26,6 +27,21 @@ DATA_FILES = {
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def old_fmt(value) -> str:
+    """The per-value CSV formatter the CLI used before ``data.write_table``."""
+    if type(value) is float:
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +175,11 @@ class TestDenoise:
         assert not (tmp_path / "out").exists()
 
     def test_results_formatted_like_write_rows(self, pipeline, tmp_path):
+        """results.csv over more than one 4096-row chunk, against the old
+        per-value row join."""
         model = pipeline / "train" / "model.ipvae"
-        inp = pipeline / "synth" / "contaminated.csv"
+        assert run("synth", "--n", 5000, "--seed", 6, "--out", tmp_path / "s") == 0
+        inp = tmp_path / "s" / "contaminated.csv"
         assert run("denoise", "--model", model, "--input", inp,
                    "--realizations", 20, "--seed", 3, "--out", tmp_path / "d") == 0
         res = analysis.denoise_all(vae.load(model), data.read_decays(inp).values,
@@ -173,10 +192,15 @@ class TestDenoise:
             ))
         )
         lines = (tmp_path / "d" / "results.csv").read_text().splitlines(keepends=True)
-        _write_rows(tmp_path / "rows.csv", lines[0].rstrip("\n").split(","), rows)
-        assert (tmp_path / "rows.csv").read_text().splitlines(keepends=True) == lines
-        # chunk boundaries do not show in the output
-        assert list(_result_lines(res, chunk=7)) == lines[1:]
+        assert len(lines) == 5001
+        assert lines[1:] == [",".join(map(old_fmt, row)) + "\n" for row in rows]
+
+    def test_threshold_checked_before_reading(self, tmp_path, capsys):
+        assert run("denoise", "--model", tmp_path / "missing.ipvae",
+                   "--input", tmp_path / "missing.csv", "--threshold", "nan",
+                   "--seed", 3, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.startswith("error: threshold must be finite")
+        assert not (tmp_path / "out").exists()
 
     def test_warns_when_most_decays_flagged(self, pipeline, tmp_path, capsys):
         model = pipeline / "train" / "model.ipvae"
@@ -280,31 +304,25 @@ class TestReport:
 
 
 class TestAtomicOutputs:
-    @staticmethod
-    def failing_rows():
-        yield [1, 2.5]
-        raise RuntimeError("row source failed")
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("unprintable value")
+
+    def failing_column(self):
+        """An object column whose value in the second 4096-row chunk fails."""
+        column = np.arange(5000).astype(object)
+        column[4500] = self.Unprintable()
+        return column
 
     def test_failed_write_leaves_no_file(self, tmp_path):
-        with pytest.raises(RuntimeError, match="row source failed"):
-            _write_rows(tmp_path / "out.csv", ["a", "b"], self.failing_rows())
+        with pytest.raises(RuntimeError, match="unprintable value"):
+            write_table(tmp_path / "out.csv", "a,b", self.failing_column(), np.ones(5000))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rewrite_keeps_previous_file(self, tmp_path):
         target = tmp_path / "out.csv"
-        _write_rows(target, ["a", "b"], [[0, 1.0]])
-        with pytest.raises(RuntimeError, match="row source failed"):
-            _write_rows(target, ["a", "b"], self.failing_rows())
+        write_table(target, "a,b", np.array([0]), np.array([1.0]))
+        with pytest.raises(RuntimeError, match="unprintable value"):
+            write_table(target, "a,b", self.failing_column(), np.ones(5000))
         assert target.read_text() == "a,b\n0,1.0\n"
         assert list(tmp_path.iterdir()) == [target]
-
-
-class TestFmt:
-    def test_each_type_keeps_its_form(self):
-        assert _fmt(0.1) == "0.1"
-        assert _fmt(float("inf")) == "inf"
-        assert _fmt(np.float64(0.1)) == "0.1"
-        assert _fmt(np.float32(0.5)) == "0.5"
-        assert _fmt(True) == "1" and _fmt(np.bool_(False)) == "0"
-        assert _fmt(3) == "3" and _fmt(np.int64(-2)) == "-2"
-        assert _fmt("ip_vae") == "ip_vae" and _fmt(None) == ""

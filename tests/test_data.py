@@ -15,6 +15,7 @@ from ipvae.data import (
     read_decays,
     synthesize_corpus,
     write_decays,
+    write_table,
 )
 
 
@@ -248,10 +249,6 @@ class TestCsvRoundTrip:
         with pytest.raises(DecayFormatError, match="m1"):
             read_decays(path)
 
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            read_decays(tmp_path / "x.bin", format="binary")
-
     def test_non_integral_scheme_round_trips(self, tmp_path):
         scheme = WindowScheme(delay_ms=120.1234567, window_ms=0.1, count=5)
         path = tmp_path / "scheme.csv"
@@ -263,6 +260,52 @@ class TestCsvRoundTrip:
         write_corpus(path, 1, 12)
         header = path.read_text().splitlines()[0]
         assert header == "# ipvae-decays v1; d=20; delay_ms=120; window_ms=40"
+
+
+class TestWriteTable:
+    def test_each_type_keeps_its_form(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(
+            path, "a,b,c,d,e,f,g,h,i,j,k",
+            np.array([0.1]), np.array([np.inf]), np.array([np.nan]),
+            np.array([0.5], dtype=np.float32), np.array([True]), np.array([False]),
+            np.array([3]), np.array([-2], dtype=np.int64), np.array([7], dtype=np.uint8),
+            np.array(["ip_vae"]), np.array([[-0.0]]),
+        )
+        assert path.read_text() == "a,b,c,d,e,f,g,h,i,j,k\n0.1,inf,,0.5,1,0,3,-2,7,ip_vae,-0.0\n"
+
+    def test_matches_per_row_decay_writer(self, tmp_path):
+        """write_decays over more than one 4096-row chunk, against the
+        per-row loop it replaced, with mixed and with all-empty metadata."""
+        n = 5000
+        _, noisy = synthesize_corpus(SyntheticSpec(n=n, seed=19))
+        rng = np.random.default_rng(19)
+        vp, current, label = rng.uniform(1.0, 100.0, (3, n))
+        vp[rng.random(n) < 0.5] = np.nan
+        current[4096:] = np.nan
+        label[:4096] = np.nan
+        scheme = WindowScheme(delay_ms=120.5, window_ms=40.0, count=20)
+        for decays in (DecaySet(noisy, scheme, vp, current, label), DecaySet(noisy, scheme)):
+            meta = np.column_stack((decays.vp_mv, decays.current_ma, decays.label)).tolist()
+            lines = ["# ipvae-decays v1; d=20; delay_ms=120.5; window_ms=40",
+                     ",".join(["id", "vp_mv", "current_ma", "label"]
+                              + [f"m{j + 1}" for j in range(20)])]
+            for i, (row, opt) in enumerate(zip(decays.values, meta)):
+                fields = [str(i), *("" if math.isnan(v) else repr(v) for v in opt),
+                          *map(repr, row.tolist())]
+                lines.append(",".join(fields))
+            write_decays(decays, tmp_path / "d.csv")
+            assert (tmp_path / "d.csv").read_text().split("\n") == [*lines, ""]
+
+    @pytest.mark.parametrize("header, columns", [
+        ("a,b", (np.zeros(3), np.zeros(4))),
+        ("a,b", (np.zeros((3, 2)), np.zeros(3))),
+        ("a,b,c", (np.zeros(3), np.zeros(3))),
+    ])
+    def test_shape_mismatch_writes_nothing(self, tmp_path, header, columns):
+        with pytest.raises(ValueError, match="column names"):
+            write_table(tmp_path / "t.csv", header, *columns)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBulkReader:

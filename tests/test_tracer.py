@@ -1,0 +1,26 @@
+"""The benchmark tracer (benchmarks/tracer.py) wraps the package's public
+functions by name; these checks keep the names it relies on in place."""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("ipvae_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_synth_restores_wrappers_and_counts(tmp_path):
+    tracer = load_tracer()
+    result = tracer.run_traced(["synth", "--n", "50", "--seed", "1", "--out", str(tmp_path)])
+    assert result["rc"] == 0
+    assert result["restored"]
+    spans = result["spans"]
+    assert set(tracer.COUNTERS) <= set(spans)
+    for (module, cls), methods in tracer.CLASS_METHODS.items():
+        assert {f"{module}.{cls}.{m}" for m in methods} <= set(spans)
+    assert result["counters"]["data.write_decays.rows"] == 100
