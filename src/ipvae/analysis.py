@@ -16,7 +16,7 @@ import numpy as np
 from . import filters as flt
 from . import vae as vae_mod
 from .data import average_chargeability
-from .vae import TrainConfig, VaeModel
+from .vae import TrainConfig, TrainingDivergedError, VaeModel
 
 DEFAULT_OUTLIER_THRESHOLD = 1.0  # mV/V
 DENSITY_BINS = 100
@@ -293,17 +293,15 @@ def latent_chargeability_correlation(
     return out
 
 
-def loss_at_convergence(
-    reports: list[vae_mod.LossReport], window: int = 1000
-) -> tuple[float, float, float]:
-    """Mean (total, nll, kl) over the final ``window`` training steps."""
-    w = min(window, len(reports))
-    tail = reports[-w:]
-    return (
-        float(np.mean([r.total for r in tail])),
-        float(np.mean([r.nll for r in tail])),
-        float(np.mean([r.kl for r in tail])),
-    )
+def loss_at_convergence(curve: np.ndarray, window: int = 1000) -> tuple[float, float, float]:
+    """Mean (total, nll, kl) over the final ``window`` rows of a (steps, 3)
+    loss curve.
+
+    Each column is averaged on its own: numpy sums a 1-D slice pairwise, but
+    an axis-0 reduction of the 2-D tail row by row, which rounds differently.
+    """
+    tail = curve[-min(window, len(curve)):]
+    return tuple(float(tail[:, j].mean()) for j in range(3))
 
 
 def latent_sweep(
@@ -311,15 +309,15 @@ def latent_sweep(
     ks: tuple[int, ...] = (1, 2, 4, 6),
     config: TrainConfig | None = None,
     n_realizations: int = 100,
-    return_models: bool = False,
-):
+) -> tuple[list[SweepRow], list[VaeModel]]:
     """Train one model per latent width on the (n, d) corpus ``values``,
-    with shared seed/config, and compare.
+    with shared seed/config, and compare; returns the rows and the models.
 
     Each row reports the converged loss terms, the training-set mean peak
     S/N and RMSE of the median reconstructions, and the density-chart
     difference between a fresh prior-sampled population (same size as the
-    corpus) and the corpus itself.
+    corpus) and the corpus itself. A divergence names the width in its
+    message.
     """
     if config is None:
         config = TrainConfig(seed=0)
@@ -331,33 +329,29 @@ def latent_sweep(
     models: list[VaeModel] = []
     for k in ks:
         try:
-            model, reports = vae_mod.train_new(values, replace(config, latent_dim=k))
-            total, nll, kl = loss_at_convergence(reports)
-            res = denoise_all(model, values, n_realizations=n_realizations, rng=config.seed)
-            train_rmse = float(np.mean(res.rmse))
-            snrs = res.peak_snr
-            train_snr = float(np.mean(snrs[np.isfinite(snrs)]))
-            generated = vae_mod.sample_matrix(
-                model, values.shape[0], sigma_scale=1.0, rng=config.seed + 1
-            )
-            gen_chart = density_chart(generated, amplitude_range=corpus_range)
-            dlc = dlc_difference(gen_chart, corpus_chart)
-        except Exception as exc:
-            raise RuntimeError(f"latent sweep failed at K={k}: {exc}") from exc
+            model, curve = vae_mod.train_new(values, replace(config, latent_dim=k))
+        except TrainingDivergedError as exc:
+            exc.args = (f"K={k}: {exc}",)
+            raise
+        _, nll, kl = loss_at_convergence(curve)
+        res = denoise_all(model, values, n_realizations=n_realizations, rng=config.seed)
+        snrs = res.peak_snr
+        generated = vae_mod.sample_matrix(
+            model, values.shape[0], sigma_scale=1.0, rng=config.seed + 1
+        )
+        gen_chart = density_chart(generated, amplitude_range=corpus_range)
         rows.append(
             SweepRow(
                 latent_dim=k,
                 nll=nll,
                 kl=kl,
-                train_snr_db=train_snr,
-                train_rmse=train_rmse,
-                dlc_diff=dlc,
+                train_snr_db=float(np.mean(snrs[np.isfinite(snrs)])),
+                train_rmse=float(np.mean(res.rmse)),
+                dlc_diff=dlc_difference(gen_chart, corpus_chart),
             )
         )
         models.append(model)
-    if return_models:
-        return rows, models
-    return rows
+    return rows, models
 
 
 def denoising_benchmark(

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,7 +34,7 @@ EXIT_IO = 5
 
 def _write_json(path, payload: dict) -> None:
     with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -78,6 +79,12 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject a flag value before any input is read or output written."""
+    if not ok:
+        raise ValueError(f"{flag} must be {rule}, got {value}")
+
+
 def _out_dir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -119,22 +126,18 @@ def cmd_train(args) -> int:
         standardize=not args.no_standardize,
     )
     corpus = data_mod.read_decays(args.corpus)
-    model, reports = vae_mod.train_new(corpus.values, config)
+    model, curve = vae_mod.train_new(corpus.values, config)
     out = _out_dir(args)
     model_path = os.path.join(out, "model.ipvae")
     vae_mod.save(model, model_path)
-    write_table(
-        os.path.join(out, "loss_curve.csv"),
-        "step,total,nll,kl",
-        np.array([r.step for r in reports]),
-        np.array([[r.total, r.nll, r.kl] for r in reports]),
-    )
-    smoothed = vae_mod.smooth_curve([r.total for r in reports])
-    total, nll, kl = analysis.loss_at_convergence(reports)
+    write_table(os.path.join(out, "loss_curve.csv"), "step,total,nll,kl",
+                np.arange(1, len(curve) + 1), curve)
+    smoothed = vae_mod.smooth_curve(curve[:, 0])
+    total, nll, kl = analysis.loss_at_convergence(curve)
     _write_json(
         os.path.join(out, "summary.json"),
         {
-            "steps": len(reports),
+            "steps": len(curve),
             "final_smoothed_total": float(smoothed[-1]),
             "min_smoothed_total": float(smoothed.min()),
             "converged_total": total,
@@ -145,12 +148,13 @@ def cmd_train(args) -> int:
         },
     )
     _echo_config(out, "train", args, ae_mode=(args.kl_weight == 0.0))
-    print(f"train: {len(reports)} steps, model at {model_path}")
+    print(f"train: {len(curve)} steps, model at {model_path}")
     return 0
 
 
 def cmd_denoise(args) -> int:
     analysis.check_threshold(args.threshold)
+    _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
     model = vae_mod.load(args.model)
     values = data_mod.read_decays(args.input).values
     res = analysis.denoise_all(
@@ -196,6 +200,13 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _require(args.n >= 1, "--n", ">= 1", args.n)
+    _require(args.sweep_n >= 1, "--sweep-n", ">= 1", args.sweep_n)
+    _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
+    _require(np.isfinite(args.sigma), "--sigma", "finite", args.sigma)
+    sigmas = _parse_sigmas(args.sigmas)
+    _require(np.all(np.isfinite(sigmas)) and len(set(sigmas)) >= 2, "--sigmas",
+             "at least two distinct finite values to fit a slope", repr(args.sigmas))
     model = vae_mod.load(args.model)
     table = analysis.denoising_benchmark(
         model, args.n, (args.sigma,), seed=args.seed, n_realizations=args.realizations
@@ -207,7 +218,6 @@ def cmd_bench(args) -> int:
         np.array(analysis.BENCH_METHODS),
         np.array([table[m] for m in analysis.BENCH_METHODS]),
     )
-    sigmas = _parse_sigmas(args.sigmas)
     sweep = analysis.denoising_benchmark(
         model,
         args.sweep_n,
@@ -254,14 +264,13 @@ def cmd_sweep(args) -> int:
         epochs=args.epochs,
         kl_weight=args.kl_weight,
     )
-    corpus = data_mod.read_decays(args.corpus)
     ks = _parse_ks(args.ks)
+    for k in ks:
+        replace(config, latent_dim=k)  # validates each width before any I/O
+    _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
+    corpus = data_mod.read_decays(args.corpus)
     rows, models = analysis.latent_sweep(
-        corpus.values,
-        ks,
-        config,
-        n_realizations=args.realizations,
-        return_models=True,
+        corpus.values, ks, config, n_realizations=args.realizations
     )
     out = _out_dir(args)
     for model in models:
@@ -286,6 +295,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _require(args.bins >= 1, "--bins", ">= 1", args.bins)
+    _require(0.0 < args.bin_width < np.inf, "--bin-width", "finite and > 0", args.bin_width)
+    _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
     model = vae_mod.load(args.model)
     values = data_mod.read_decays(args.corpus).values
     out = _out_dir(args)

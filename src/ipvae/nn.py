@@ -85,14 +85,6 @@ class Mlp:
         self.layers = layers
         self.activations = activations
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer, act in zip(self.layers, self.activations):
             x = forward(layer, x, act)

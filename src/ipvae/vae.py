@@ -26,6 +26,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,12 +95,12 @@ class TrainConfig:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
 
 
-@dataclass
-class LossReport:
+class LossReport(NamedTuple):
+    """Batch-mean loss terms of one evaluation: one row of a loss curve."""
+
     total: float
     nll: float
     kl: float
-    step: int = 0
 
 
 @dataclass
@@ -338,9 +339,10 @@ def train(
     corpus: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator | None = None,
-) -> tuple[VaeModel, list[LossReport]]:
+) -> tuple[VaeModel, np.ndarray]:
     """Mini-batch Adam training on an (n, d) corpus matrix; returns the
-    model and one report per step.
+    model and the loss curve, a (steps, 3) array whose row i holds the
+    (total, nll, kl) of step i + 1.
 
     Batches are reshuffled each epoch with a seeded permutation; a trailing
     partial batch is dropped. Deterministic given (corpus, config). Trains
@@ -371,8 +373,8 @@ def train(
 
     params = pack(model.layers())
     opt = AdamState.for_params(params, lr=config.lr)
-    reports: list[LossReport] = []
     steps_per_epoch = n // config.batch_size
+    curve = np.empty((config.epochs * steps_per_epoch, len(LossReport._fields)))
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
@@ -385,14 +387,11 @@ def train(
                 raise TrainingDivergedError(step, str(exc)) from exc
             grads = loss_backward(model, cache)
             adam_step(opt, params, np.concatenate([g.ravel() for g in grads]))
-            report.step = step
-            reports.append(report)
-    return model, reports
+            curve[step - 1] = report
+    return model, curve
 
 
-def train_new(
-    corpus: np.ndarray, config: TrainConfig
-) -> tuple[VaeModel, list[LossReport]]:
+def train_new(corpus: np.ndarray, config: TrainConfig) -> tuple[VaeModel, np.ndarray]:
     """Initialize a model from the config and train it on the (n, d)
     corpus matrix."""
     values = np.asarray(corpus, dtype=np.float64)
@@ -543,7 +542,7 @@ def load(
     )
 
 
-def smooth_curve(values: list[float] | np.ndarray, window: int = 1000) -> np.ndarray:
+def smooth_curve(values: np.ndarray, window: int = 1000) -> np.ndarray:
     """Moving mean over a loss curve, window capped at the sequence length."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:

@@ -20,8 +20,8 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def small_model(small_corpus):
     _, noisy_matrix = small_corpus
-    model, reports = train_new(noisy_matrix, TrainConfig(seed=CANONICAL_TRAIN_SEED))
-    return model, reports
+    model, curve = train_new(noisy_matrix, TrainConfig(seed=CANONICAL_TRAIN_SEED))
+    return model, curve
 
 
 @pytest.fixture(scope="session")
@@ -32,5 +32,5 @@ def canonical_corpus():
 @pytest.fixture(scope="session")
 def canonical_model(canonical_corpus):
     _, noisy_matrix = canonical_corpus
-    model, reports = train_new(noisy_matrix, TrainConfig(seed=CANONICAL_TRAIN_SEED))
-    return model, reports
+    model, curve = train_new(noisy_matrix, TrainConfig(seed=CANONICAL_TRAIN_SEED))
+    return model, curve

@@ -124,12 +124,12 @@ def test_criterion_03_training_stationarity():
     start = time.monotonic()
     spec = SyntheticSpec(n=100_000, **CANONICAL_SPEC)
     _, values = synthesize_corpus(spec)
-    _, reports_1 = train_new(values, TrainConfig(seed=CANONICAL_TRAIN_SEED))
-    sm1 = smooth_curve([r.total for r in reports_1], 1000)
+    _, curve_1 = train_new(values, TrainConfig(seed=CANONICAL_TRAIN_SEED))
+    sm1 = smooth_curve(curve_1[:, 0], 1000)
     ratio = float(sm1[-1] / sm1.min())
     assert ratio <= 1.1
-    _, reports_2 = train_new(values, TrainConfig(seed=CANONICAL_TRAIN_SEED, epochs=2))
-    sm2 = smooth_curve([r.total for r in reports_2], 1000)
+    _, curve_2 = train_new(values, TrainConfig(seed=CANONICAL_TRAIN_SEED, epochs=2))
+    sm2 = smooth_curve(curve_2[:, 0], 1000)
     improvement = float((sm1[-1] - sm2[-1]) / sm1[-1])
     assert improvement < 0.05
     elapsed = time.monotonic() - start
@@ -210,7 +210,7 @@ def test_criterion_07_latent_interpretation(canonical_model, canonical_corpus):
 
 def test_criterion_08_latent_sweep_flatness(canonical_corpus):
     _, noisy = canonical_corpus
-    rows = latent_sweep(
+    rows, _ = latent_sweep(
         noisy[:30_000],
         ks=(1, 2, 4, 6),
         config=TrainConfig(seed=CANONICAL_TRAIN_SEED),

@@ -12,12 +12,13 @@ from ipvae.analysis import (
     fitted_slope,
     latent_chargeability_correlation,
     latent_sweep,
+    loss_at_convergence,
     peak_snr,
     rmse,
     sorted_quantiles,
     survey_snr_histogram,
 )
-from ipvae.vae import TrainConfig, sample_matrix
+from ipvae.vae import TrainConfig, TrainingDivergedError, sample_matrix
 
 
 class TestRmse:
@@ -301,20 +302,33 @@ class TestLatentCorrelation:
         assert np.all(np.isfinite(r))
 
 
+class TestLossAtConvergence:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("window", [1000, 10_000])
+    def test_bit_equal_to_mean_of_lists(self, seed, window):
+        # a (steps, 3) curve of the README run's length, against the mean of
+        # each term's Python list, which is how the values were first taken
+        curve = np.random.default_rng(seed).lognormal(3.0, 1.0, (6250, 3))
+        rows = curve.tolist()[-window:]
+        expected = tuple(float(np.mean([r[j] for r in rows])) for j in range(3))
+        assert loss_at_convergence(curve, window) == expected
+
+
 class TestLatentSweep:
     def test_smoke_all_ks_finite(self, small_corpus):
         _, noisy = small_corpus
-        rows = latent_sweep(
+        rows, models = latent_sweep(
             noisy[:4000], ks=(1, 2), config=TrainConfig(seed=3), n_realizations=10
         )
         assert [r.latent_dim for r in rows] == [1, 2]
+        assert [m.latent_dim for m in models] == [1, 2]
         for r in rows:
             for value in (r.nll, r.kl, r.train_snr_db, r.train_rmse, r.dlc_diff):
                 assert np.isfinite(value)
 
     def test_error_annotated_with_k(self, small_corpus):
         _, noisy = small_corpus
-        with pytest.raises(RuntimeError, match="K=1"):
+        with pytest.raises(TrainingDivergedError, match="K=1"):
             latent_sweep(
                 noisy[:2000], ks=(1,), config=TrainConfig(seed=3, lr=1e6),
                 n_realizations=5,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ipvae import analysis, data, vae
-from ipvae.cli import main
+from ipvae.cli import _write_json, main
 from ipvae.data import write_table
 
 DATA_FILES = {
@@ -27,6 +27,19 @@ DATA_FILES = {
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def strict_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def assert_rejected_early(capsys, out, message):
+    """Exit 3 with ``message`` on stderr, and no output directory."""
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def old_fmt(value) -> str:
@@ -202,6 +215,13 @@ class TestDenoise:
         assert capsys.readouterr().err.startswith("error: threshold must be finite")
         assert not (tmp_path / "out").exists()
 
+    def test_realizations_checked_before_reading(self, tmp_path, capsys):
+        assert run("denoise", "--model", tmp_path / "missing.ipvae",
+                   "--input", tmp_path / "missing.csv", "--realizations", 1,
+                   "--seed", 3, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              "--realizations must be >= 2, got 1")
+
     def test_warns_when_most_decays_flagged(self, pipeline, tmp_path, capsys):
         model = pipeline / "train" / "model.ipvae"
         inp = pipeline / "synth" / "contaminated.csv"
@@ -233,6 +253,25 @@ class TestBench:
         assert methods == ["none", "ip_vae", "ma", "ema", "butterworth"]
         sweep = (tmp_path / "noise_sweep.csv").read_text().splitlines()
         assert len(sweep) - 1 == 3 * 5  # one row per sigma per method
+        summary = strict_json(tmp_path / "summary.json")
+        assert summary["sweep_sigmas"] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", 0, "--n must be >= 1, got 0"),
+        ("--sweep-n", 0, "--sweep-n must be >= 1, got 0"),
+        ("--realizations", 1, "--realizations must be >= 2, got 1"),
+        ("--sigma", "nan", "--sigma must be finite"),
+        ("--sigmas", "1.1", "--sigmas must be at least two distinct finite values"),
+        ("--sigmas", "1,1", "--sigmas must be at least two distinct finite values"),
+        ("--sigmas", "0,nan", "--sigmas must be at least two distinct finite values"),
+        ("--sigmas", "3:0:1", "bad sigma sweep '3:0:1'"),
+    ])
+    def test_bad_flag_rejected_before_model_load(self, tmp_path, capsys, flag, value,
+                                                 message):
+        # the model file does not exist: loading it first would exit 5
+        assert run("bench", "--model", tmp_path / "missing.ipvae", flag, value,
+                   "--seed", 3, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out", message)
 
     def test_reproducible(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"
@@ -255,6 +294,24 @@ class TestSweep:
         for name in DATA_FILES["sweep"]:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ks", "0", "latent_dim must be >= 1, got 0"),
+        ("--ks", "1,-2", "latent_dim must be >= 1, got -2"),
+        ("--realizations", 1, "--realizations must be >= 2, got 1"),
+    ])
+    def test_bad_flag_rejected_before_reading(self, tmp_path, capsys, flag, value,
+                                              message):
+        # the corpus does not exist: reading it first would exit 5
+        assert run("sweep", "--corpus", tmp_path / "missing.csv", flag, value,
+                   "--seed", 5, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out", message)
+
+    def test_divergence_exit_code_names_width(self, pipeline, tmp_path, capsys):
+        assert run("sweep", "--corpus", pipeline / "synth" / "contaminated.csv",
+                   "--ks", "1,2", "--lr", 1e6, "--realizations", 5,
+                   "--seed", 5, "--out", tmp_path / "out") == 4
+        assert_rejected_early(capsys, tmp_path / "out", "K=1: training diverged at step")
 
     def test_default_ks(self, pipeline, tmp_path):
         corpus = pipeline / "synth" / "contaminated.csv"
@@ -291,6 +348,20 @@ class TestReport:
         assert summary["histogram_total"] == 400
         assert "dlc_difference" in summary
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bins", 0, "--bins must be >= 1, got 0"),
+        ("--bin-width", 0, "--bin-width must be finite and > 0, got 0.0"),
+        ("--bin-width", "nan", "--bin-width must be finite and > 0, got nan"),
+        ("--bin-width", "inf", "--bin-width must be finite and > 0, got inf"),
+        ("--realizations", 1, "--realizations must be >= 2, got 1"),
+    ])
+    def test_bad_flag_rejected_before_model_load(self, tmp_path, capsys, flag, value,
+                                                 message):
+        assert run("report", "--model", tmp_path / "missing.ipvae",
+                   "--corpus", tmp_path / "missing.csv", flag, value,
+                   "--seed", 8, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out", message)
+
     def test_reproducible(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"
         corpus = pipeline / "synth" / "contaminated.csv"
@@ -301,6 +372,17 @@ class TestReport:
         for name in DATA_FILES["report"]:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False)
+
+
+class TestJsonOutputs:
+    def test_non_finite_value_refused_and_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_json(tmp_path / "summary.json", {"slope": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_summary_is_strict_json(self, pipeline):
+        summary = strict_json(pipeline / "train" / "summary.json")
+        assert summary["steps"] == 400 // 32
 
 
 class TestAtomicOutputs:

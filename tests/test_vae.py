@@ -209,7 +209,7 @@ def _train_reference(corpus, config):
     first = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
-    reports = []
+    curve = []
     t = 0
     for _ in range(config.epochs):
         order = rng.permutation(len(corpus))
@@ -218,8 +218,7 @@ def _train_reference(corpus, config):
             eps = rng.standard_normal((config.batch_size, model.latent_dim))
             report, cache = loss_given_eps(model, batch, eps, config.kl_weight)
             t += 1
-            report.step = t
-            reports.append(report)
+            curve.append(report)
             bc1 = 1.0 - beta1**t
             bc2 = 1.0 - beta2**t
             for p, g, m, v in zip(params, loss_backward(model, cache), first, second):
@@ -228,7 +227,7 @@ def _train_reference(corpus, config):
                 v *= beta2
                 v += (1.0 - beta2) * g**2
                 p -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
-    return model, reports
+    return model, np.array(curve)
 
 
 class TestTrain:
@@ -239,26 +238,26 @@ class TestTrain:
     def test_bit_equal_to_per_array_adam(self, small_corpus, config):
         _, noisy = small_corpus
         sub = noisy[:2000]
-        model, reports = train_new(sub, config)
-        ref_model, ref_reports = _train_reference(sub, config)
+        model, curve = train_new(sub, config)
+        ref_model, ref_curve = _train_reference(sub, config)
         for a, b in zip(model.parameters(), ref_model.parameters(), strict=True):
             assert np.array_equal(a, b)
-        assert reports == ref_reports
+        assert np.array_equal(curve, ref_curve)
 
     def test_deterministic_end_to_end(self, small_corpus):
         _, noisy = small_corpus
         sub = noisy[:2000]
-        m1, r1 = train_new(sub, TrainConfig(seed=3))
-        m2, r2 = train_new(sub, TrainConfig(seed=3))
+        m1, c1 = train_new(sub, TrainConfig(seed=3))
+        m2, c2 = train_new(sub, TrainConfig(seed=3))
         for a, b in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(a, b)
-        assert [r.total for r in r1] == [r.total for r in r2]
+        assert np.array_equal(c1, c2)
 
     def test_drop_last_batching(self, small_corpus):
         _, noisy = small_corpus
-        _, reports = train_new(noisy[:1000], TrainConfig(seed=3, batch_size=64))
-        assert len(reports) == 1000 // 64
-        assert [r.step for r in reports] == list(range(1, 1000 // 64 + 1))
+        _, curve = train_new(noisy[:1000], TrainConfig(seed=3, batch_size=64))
+        assert curve.shape == (1000 // 64, 3)
+        assert curve.dtype == np.float64 and curve.flags.c_contiguous
 
     def test_divergence_guard(self, small_corpus):
         _, noisy = small_corpus
@@ -267,10 +266,9 @@ class TestTrain:
         assert exc_info.value.step > 0
 
     def test_loss_terms_positive_and_same_order(self, canonical_model):
-        _, reports = canonical_model
-        tail = reports[-1000:]
-        nll = float(np.mean([r.nll for r in tail]))
-        kl = float(np.mean([r.kl for r in tail]))
+        _, curve = canonical_model
+        nll = float(curve[-1000:, 1].mean())
+        kl = float(curve[-1000:, 2].mean())
         assert nll > 0 and kl > 0
         assert max(nll, kl) / min(nll, kl) < 10.0
 
