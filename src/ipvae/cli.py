@@ -300,7 +300,6 @@ def cmd_report(args) -> int:
     _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
     model = vae_mod.load(args.model)
     values = data_mod.read_decays(args.corpus).values
-    out = _out_dir(args)
 
     hist = analysis.survey_snr_histogram(
         values,
@@ -309,24 +308,8 @@ def cmd_report(args) -> int:
         n_realizations=args.realizations,
         rng=args.seed,
     )
-    # sentinel row for perfect reconstructions, so counts still sum to n
-    write_table(
-        os.path.join(out, "snr_histogram.csv"),
-        "bin_low_db,bin_high_db,count",
-        np.append(hist.bin_edges[:-1], np.inf),
-        np.append(hist.bin_edges[1:], np.inf),
-        np.append(hist.counts, hist.inf_count),
-    )
-
     mu, _ = vae_mod.encode(model, values)
     m_bar = data_mod.average_chargeability(values)
-    write_table(
-        os.path.join(out, "latent_scatter.csv"),
-        ",".join(["id", *(f"mu_{k + 1}" for k in range(model.latent_dim)),
-                  "avg_chargeability_mv_per_v"]),
-        np.arange(len(values)), mu, m_bar,
-    )
-
     amplitude_range = analysis.density_range(values)
     corpus_chart = analysis.density_chart(
         values, bins=args.bins, amplitude_range=amplitude_range
@@ -336,6 +319,26 @@ def cmd_report(args) -> int:
     )
     model_chart = analysis.density_chart(
         generated, bins=args.bins, amplitude_range=amplitude_range
+    )
+    dlc = analysis.dlc_difference(model_chart, corpus_chart)
+    corr = analysis.latent_chargeability_correlation(model, values)
+
+    # every result is computed before the first file is written, so a
+    # rejected corpus leaves no partial report behind
+    out = _out_dir(args)
+    # sentinel row for perfect reconstructions, so counts still sum to n
+    write_table(
+        os.path.join(out, "snr_histogram.csv"),
+        "bin_low_db,bin_high_db,count",
+        np.append(hist.bin_edges[:-1], np.inf),
+        np.append(hist.bin_edges[1:], np.inf),
+        np.append(hist.counts, hist.inf_count),
+    )
+    write_table(
+        os.path.join(out, "latent_scatter.csv"),
+        ",".join(["id", *(f"mu_{k + 1}" for k in range(model.latent_dim)),
+                  "avg_chargeability_mv_per_v"]),
+        np.arange(len(values)), mu, m_bar,
     )
     for name, chart in (("density_corpus", corpus_chart), ("density_model", model_chart)):
         lo, hi = chart.amplitude_range
@@ -347,15 +350,13 @@ def cmd_report(args) -> int:
                       *(f"w{j + 1}" for j in range(model.input_dim))]),
             edges[:-1], edges[1:], chart.grid,
         )
-
-    corr = analysis.latent_chargeability_correlation(model, values)
     _write_json(
         os.path.join(out, "summary.json"),
         {
             "n": len(values),
             "histogram_total": hist.total,
             "n_infinite_peak_snr": hist.inf_count,
-            "dlc_difference": analysis.dlc_difference(model_chart, corpus_chart),
+            "dlc_difference": dlc,
             "latent_chargeability_r": list(corr),
             "amplitude_range_mv_per_v": list(amplitude_range),
         },

@@ -45,10 +45,10 @@ class WindowScheme:
     count: int = 20
 
     def __post_init__(self):
-        if self.delay_ms <= 0:
-            raise ValueError(f"delay_ms must be > 0, got {self.delay_ms}")
-        if self.window_ms <= 0:
-            raise ValueError(f"window_ms must be > 0, got {self.window_ms}")
+        if not 0 < self.delay_ms < math.inf:
+            raise ValueError(f"delay_ms must be finite and > 0, got {self.delay_ms}")
+        if not 0 < self.window_ms < math.inf:
+            raise ValueError(f"window_ms must be finite and > 0, got {self.window_ms}")
         if self.count < 2:
             raise ValueError(f"window count must be >= 2, got {self.count}")
 
@@ -134,12 +134,16 @@ class SyntheticSpec:
             ("tau_range", self.tau_range),
             ("c_range", self.c_range),
         ):
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+            if not (0 < lo <= hi < math.inf):
+                raise ValueError(
+                    f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})"
+                )
         if self.c_range[1] > 1.0:
             raise ValueError(f"c_range upper bound must be <= 1, got {self.c_range[1]}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
         if not (0.0 <= self.spike_prob <= 1.0):
             raise ValueError(f"spike_prob must lie in [0, 1], got {self.spike_prob}")
 
@@ -179,8 +183,8 @@ def contaminate(
     ``noise_sigma`` (or 1 mV/V when noise_sigma is zero, so that requested
     spikes never degenerate to zero).
     """
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if not (0.0 <= spike_prob <= 1.0):
         raise ValueError(f"spike_prob must lie in [0, 1], got {spike_prob}")
     rng = np.random.default_rng(seed)

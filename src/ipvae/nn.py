@@ -127,20 +127,6 @@ def parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
     return [p for layer in layers for p in (layer.weights, layer.bias)]
 
 
-def pack(layers: list[DenseLayer]) -> np.ndarray:
-    """Copy the layers' parameters, in parameters() order, into one flat
-    vector and rebind each weights/bias as a reshaped view of it, so an
-    update of the vector updates the layers."""
-    flat = np.concatenate([p.ravel() for p in parameters(layers)])
-    offset = 0
-    for layer in layers:
-        for name in ("weights", "bias"):
-            p = getattr(layer, name)
-            setattr(layer, name, flat[offset : offset + p.size].reshape(p.shape))
-            offset += p.size
-    return flat
-
-
 @dataclass
 class AdamState:
     """Adam optimizer state for one flat parameter vector."""

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import atomic_open
-from .nn import AdamState, DenseLayer, Mlp, adam_step, pack, parameters
+from .nn import AdamState, DenseLayer, Mlp, adam_step, parameters
 
 MODEL_MAGIC = b"IPVAE"
 MODEL_FORMAT_VERSION = 1
@@ -103,18 +103,39 @@ class LossReport(NamedTuple):
     kl: float
 
 
-@dataclass
+@dataclass(eq=False)
 class VaeModel:
-    """Encoder trunk, two latent heads, decoder, plus the input transform."""
+    """Encoder trunk, two latent heads, decoder, plus the input transform.
 
-    encoder: Mlp
-    mu_head: DenseLayer
-    logvar_head: DenseLayer
-    decoder: Mlp
-    latent_dim: int
+    Every weight and bias lives in ``params``, one C-contiguous float64
+    vector; the dense layers are reshaped views of it, so an in-place update
+    of ``params`` (an optimizer step) updates the layers.
+    """
+
+    params: np.ndarray
     input_dim: int
+    latent_dim: int
+    hidden: tuple[int, int]
     input_offset: float = 0.0
     input_scale: float = 1.0
+
+    def __post_init__(self):
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        shapes = _layer_shapes(self.input_dim, self.latent_dim, self.hidden)
+        size = _vector_size(shapes)
+        if self.params.shape != (size,):
+            raise ValueError(f"expected {size} parameters, got shape {self.params.shape}")
+        layers = []
+        offset = 0
+        for out_dim, in_dim in shapes:
+            end = offset + out_dim * in_dim
+            weights = self.params[offset:end].reshape(out_dim, in_dim)
+            offset = end + out_dim
+            layers.append(DenseLayer(weights=weights, bias=self.params[end:offset]))
+        self._layers = layers
+        enc1, enc2, self.mu_head, self.logvar_head, *dec = layers
+        self.encoder = Mlp([enc1, enc2], ["tanh", "tanh"])
+        self.decoder = Mlp(dec, ["tanh", "tanh", "identity"])
 
     @classmethod
     def initialize(
@@ -125,41 +146,37 @@ class VaeModel:
         rng: np.random.Generator | int = 0,
     ) -> "VaeModel":
         rng = np.random.default_rng(rng)
-        h1, h2 = hidden
-        encoder = Mlp(
-            [DenseLayer.glorot(h1, input_dim, rng), DenseLayer.glorot(h2, h1, rng)],
-            ["tanh", "tanh"],
-        )
-        mu_head = DenseLayer.glorot(latent_dim, h2, rng)
-        logvar_head = DenseLayer.glorot(latent_dim, h2, rng)
-        decoder = Mlp(
-            [
-                DenseLayer.glorot(h2, latent_dim, rng),
-                DenseLayer.glorot(h1, h2, rng),
-                DenseLayer.glorot(input_dim, h1, rng),
-            ],
-            ["tanh", "tanh", "identity"],
-        )
-        return cls(
-            encoder=encoder,
-            mu_head=mu_head,
-            logvar_head=logvar_head,
-            decoder=decoder,
-            latent_dim=latent_dim,
-            input_dim=input_dim,
-        )
+        shapes = _layer_shapes(input_dim, latent_dim, hidden)
+        layers = [DenseLayer.glorot(out_dim, in_dim, rng) for out_dim, in_dim in shapes]
+        params = np.concatenate([p.ravel() for p in parameters(layers)])
+        return cls(params, input_dim, latent_dim, tuple(hidden))
 
     def layers(self) -> list[DenseLayer]:
         """Every dense layer, in parameters() order."""
-        return (
-            self.encoder.layers + [self.mu_head, self.logvar_head] + self.decoder.layers
-        )
+        return list(self._layers)
 
     def parameters(self) -> list[np.ndarray]:
+        """Each layer's weights then bias: consecutive views of params."""
         return parameters(self.layers())
 
-    def hidden_widths(self) -> tuple[int, ...]:
-        return tuple(layer.out_dim for layer in self.encoder.layers)
+
+def _layer_shapes(
+    input_dim: int, latent_dim: int, hidden: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """(out, in) of every dense layer, in VaeModel.layers() order: encoder
+    hidden layers, latent mean head, latent log-variance head, then the
+    mirrored decoder. This is the layout of VaeModel.params."""
+    h1, h2 = hidden
+    return [
+        (h1, input_dim), (h2, h1),
+        (latent_dim, h2), (latent_dim, h2),
+        (h2, latent_dim), (h1, h2), (input_dim, h1),
+    ]
+
+
+def _vector_size(shapes: list[tuple[int, int]]) -> int:
+    """Length of the flat vector: each layer's weights then its bias."""
+    return sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
 
 
 def _standardize(model: VaeModel, x: np.ndarray) -> np.ndarray:
@@ -346,8 +363,7 @@ def train(
 
     Batches are reshuffled each epoch with a seeded permutation; a trailing
     partial batch is dropped. Deterministic given (corpus, config). Trains
-    the model in place: its weights and biases become views of the one flat
-    vector that Adam updates.
+    the model in place: Adam updates model.params.
     """
     values = np.asarray(corpus, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
@@ -371,8 +387,7 @@ def train(
         model.input_offset = 0.0
         model.input_scale = 1.0
 
-    params = pack(model.layers())
-    opt = AdamState.for_params(params, lr=config.lr)
+    opt = AdamState.for_params(model.params, lr=config.lr)
     steps_per_epoch = n // config.batch_size
     curve = np.empty((config.epochs * steps_per_epoch, len(LossReport._fields)))
     for _ in range(config.epochs):
@@ -386,7 +401,7 @@ def train(
             except NonFiniteError as exc:
                 raise TrainingDivergedError(step, str(exc)) from exc
             grads = loss_backward(model, cache)
-            adam_step(opt, params, np.concatenate([g.ravel() for g in grads]))
+            adam_step(opt, model.params, np.concatenate([g.ravel() for g in grads]))
             curve[step - 1] = report
     return model, curve
 
@@ -422,57 +437,21 @@ def sample_matrix(
 
 # --- persistence -------------------------------------------------------------
 
-def _pack_payload(model: VaeModel) -> bytes:
-    hidden = model.hidden_widths()
-    dec_hidden = tuple(layer.out_dim for layer in model.decoder.layers[:-1])
-    parts = [
-        struct.pack("<I", MODEL_FORMAT_VERSION),
-        struct.pack("<II", model.latent_dim, model.input_dim),
-        struct.pack("<I", len(hidden)),
-        struct.pack(f"<{len(hidden)}I", *hidden),
-        struct.pack("<I", len(dec_hidden)),
-        struct.pack(f"<{len(dec_hidden)}I", *dec_hidden),
-        struct.pack("<dd", model.input_offset, model.input_scale),
-    ]
-    for p in model.parameters():
-        parts.append(p.astype("<f8").tobytes())
-    return b"".join(parts)
+# version, latent dim, input dim, encoder hidden count and widths, decoder
+# hidden count and widths, input offset and scale; the parameter vector follows
+MODEL_HEADER = struct.Struct("<9I2d")
 
 
 def save(model: VaeModel, path) -> None:
     """Write the model with magic, payload and an 8-byte SHA-256 checksum."""
-    payload = _pack_payload(model)
+    h1, h2 = model.hidden
+    payload = MODEL_HEADER.pack(
+        MODEL_FORMAT_VERSION, model.latent_dim, model.input_dim,
+        2, h1, h2, 2, h2, h1, model.input_offset, model.input_scale,
+    ) + model.params.astype("<f8").tobytes()
     digest = hashlib.sha256(payload).digest()[:8]
     with atomic_open(path, "wb") as fh:
         fh.write(MODEL_MAGIC + payload + digest)
-
-
-class _Reader:
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.buf):
-            raise ModelTruncatedError(
-                f"{self.path}: file ends inside the payload"
-                f" (needed {count} bytes at offset {self.pos})"
-            )
-        out = self.buf[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def tensor(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = self.take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load(
@@ -490,56 +469,35 @@ def load(
     payload, digest = blob[len(MODEL_MAGIC) : -8], blob[-8:]
     if hashlib.sha256(payload).digest()[:8] != digest:
         raise ModelIntegrityError(f"{path}: checksum mismatch, refusing to load")
+    if len(payload) < MODEL_HEADER.size:
+        raise ModelTruncatedError(f"{path}: file ends inside the header")
 
-    r = _Reader(payload, path)
-    version = r.u32()
+    (version, latent_dim, input_dim, n_enc, h1, h2, n_dec, d1, d2,
+     offset, scale) = MODEL_HEADER.unpack_from(payload)
     if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"{path}: format version {version}, expected {MODEL_FORMAT_VERSION}"
         )
-    latent_dim = r.u32()
-    input_dim = r.u32()
-    enc_hidden = [r.u32() for _ in range(r.u32())]
-    dec_hidden = [r.u32() for _ in range(r.u32())]
-    offset, scale = r.f64(), r.f64()
-    if expected_latent_dim is not None and latent_dim != expected_latent_dim:
-        raise ModelDimensionError(
-            f"{path}: latent dim is {latent_dim}, expected {expected_latent_dim}"
+    if (n_enc, n_dec, d1, d2) != (2, 2, h2, h1):
+        raise ModelFileError(
+            f"{path}: unsupported architecture, expected two mirrored hidden layers"
         )
-    if expected_input_dim is not None and input_dim != expected_input_dim:
-        raise ModelDimensionError(
-            f"{path}: input dim is {input_dim}, expected {expected_input_dim}"
-        )
+    for what, dim, expected in (("latent", latent_dim, expected_latent_dim),
+                                ("input", input_dim, expected_input_dim)):
+        if expected is not None and dim != expected:
+            raise ModelDimensionError(f"{path}: {what} dim is {dim}, expected {expected}")
 
-    def read_layer(out_dim: int, in_dim: int) -> DenseLayer:
-        return DenseLayer(
-            weights=r.tensor((out_dim, in_dim)), bias=r.tensor((out_dim,))
+    shapes = _layer_shapes(input_dim, latent_dim, (h1, h2))
+    size = 8 * _vector_size(shapes)
+    body = payload[MODEL_HEADER.size :]
+    if len(body) < size:
+        raise ModelTruncatedError(
+            f"{path}: file ends inside the parameters ({len(body)} of {size} bytes)"
         )
-
-    enc_dims = [input_dim] + enc_hidden
-    encoder = Mlp(
-        [read_layer(o, i) for i, o in zip(enc_dims, enc_dims[1:])],
-        ["tanh"] * len(enc_hidden),
-    )
-    mu_head = read_layer(latent_dim, enc_hidden[-1])
-    logvar_head = read_layer(latent_dim, enc_hidden[-1])
-    dec_dims = [latent_dim] + dec_hidden + [input_dim]
-    decoder = Mlp(
-        [read_layer(o, i) for i, o in zip(dec_dims, dec_dims[1:])],
-        ["tanh"] * len(dec_hidden) + ["identity"],
-    )
-    if r.pos != len(payload):
-        raise ModelFileError(f"{path}: {len(payload) - r.pos} trailing bytes")
-    return VaeModel(
-        encoder=encoder,
-        mu_head=mu_head,
-        logvar_head=logvar_head,
-        decoder=decoder,
-        latent_dim=latent_dim,
-        input_dim=input_dim,
-        input_offset=offset,
-        input_scale=scale,
-    )
+    if len(body) > size:
+        raise ModelFileError(f"{path}: {len(body) - size} trailing bytes")
+    params = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    return VaeModel(params, input_dim, latent_dim, (h1, h2), offset, scale)
 
 
 def smooth_curve(values: np.ndarray, window: int = 1000) -> np.ndarray:

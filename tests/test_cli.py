@@ -89,6 +89,18 @@ class TestSynth:
         assert exc_info.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise", "nan", "noise_sigma must be finite and >= 0, got nan"),
+        ("--m0-range", "1:inf", "m0_range must satisfy 0 < lo <= hi < inf, got (1.0, inf)"),
+        ("--delay-ms", "nan", "delay_ms must be finite and > 0, got nan"),
+        ("--delay-ms", "inf", "delay_ms must be finite and > 0, got inf"),
+    ])
+    def test_bad_flag_rejected_before_writing(self, tmp_path, capsys, flag, value,
+                                              message):
+        assert run("synth", "--n", 10, flag, value, "--seed", 1,
+                   "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out", message)
+
     def test_config_echo_written(self, tmp_path):
         assert run("synth", "--n", 20, "--seed", 9, "--out", tmp_path) == 0
         echo = json.loads((tmp_path / "config.json").read_text())
@@ -361,6 +373,15 @@ class TestReport:
                    "--corpus", tmp_path / "missing.csv", flag, value,
                    "--seed", 8, "--out", tmp_path / "out") == 3
         assert_rejected_early(capsys, tmp_path / "out", message)
+
+    def test_failed_result_writes_nothing(self, pipeline, tmp_path, capsys):
+        two = tmp_path / "two.csv"
+        data.write_decays(data.DecaySet(np.linspace(20.0, 1.0, 40).reshape(2, 20)), two)
+        assert run("report", "--model", pipeline / "train" / "model.ipvae",
+                   "--corpus", two, "--realizations", 10, "--seed", 8,
+                   "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              "need at least 3 decays for a correlation")
 
     def test_reproducible(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"

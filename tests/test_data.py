@@ -38,6 +38,8 @@ class TestWindowScheme:
 
     @pytest.mark.parametrize("kwargs", [
         dict(delay_ms=0), dict(window_ms=-1), dict(count=1),
+        dict(delay_ms=float("nan")), dict(delay_ms=float("inf")),
+        dict(window_ms=float("nan")), dict(window_ms=float("inf")),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -131,8 +133,21 @@ class TestGenerateGroundTruth:
         with pytest.raises(ValueError):
             SyntheticSpec(n=5, m0_range=(10, 5))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(m0_range=(1, np.inf)), dict(tau_range=(np.nan, 1)),
+        dict(c_range=(0.5, np.nan)), dict(noise_sigma=np.nan), dict(noise_sigma=np.inf),
+    ])
+    def test_rejects_non_finite_setting(self, kwargs):
+        with pytest.raises(ValueError):
+            SyntheticSpec(n=5, **kwargs)
+
 
 class TestContaminate:
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_noise_sigma(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            contaminate(np.ones((2, 20)), noise_sigma=sigma)
+
     def test_zero_noise_is_identity(self):
         values = generate_ground_truth(SyntheticSpec(n=20, seed=2))
         out = contaminate(values, noise_sigma=0.0, spike_prob=0.0, seed=9)

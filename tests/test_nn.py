@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ipvae.nn import AdamState, DenseLayer, Mlp, adam_step, forward, pack
+from ipvae.nn import AdamState, DenseLayer, Mlp, adam_step, forward
+from ipvae.vae import VaeModel
 
 
 def finite_difference_grads(net, x, upstream_weights, h=1e-5):
@@ -114,17 +115,21 @@ class TestBackward:
 
 class TestPack:
     def test_layers_become_views_of_one_vector(self):
-        rng = np.random.default_rng(6)
-        net = Mlp([DenseLayer.glorot(3, 4, rng), DenseLayer.glorot(2, 3, rng)],
-                  ["tanh", "identity"])
-        before = [p.copy() for p in net.parameters()]
-        flat = pack(net.layers)
-        assert np.array_equal(flat, np.concatenate([p.ravel() for p in before]))
-        for p, b in zip(net.parameters(), before):
-            assert p.shape == b.shape and np.array_equal(p, b)
-            assert np.shares_memory(p, flat)
-        flat -= 1.0
-        for p, b in zip(net.parameters(), before):
+        model = VaeModel.initialize(input_dim=6, latent_dim=2, hidden=(5, 3), rng=6)
+        params = model.parameters()
+        # each layer's weights (out, in) then bias: encoder, mu head,
+        # log-variance head, decoder
+        assert [p.shape for p in params] == [
+            (5, 6), (5,), (3, 5), (3,), (2, 3), (2,), (2, 3), (2,),
+            (3, 2), (3,), (5, 3), (5,), (6, 5), (6,),
+        ]
+        assert model.params.flags.c_contiguous
+        assert np.array_equal(model.params, np.concatenate([p.ravel() for p in params]))
+        for p in params:
+            assert np.shares_memory(p, model.params)
+        before = [p.copy() for p in params]
+        model.params -= 1.0
+        for p, b in zip(model.parameters(), before):
             assert np.array_equal(p, b - 1.0)
 
 

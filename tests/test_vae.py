@@ -1,10 +1,14 @@
+import hashlib
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from ipvae.vae import (
+    MODEL_HEADER,
     ModelDimensionError,
+    ModelFileError,
     ModelIntegrityError,
     ModelTruncatedError,
     ModelVersionError,
@@ -244,6 +248,13 @@ class TestTrain:
             assert np.array_equal(a, b)
         assert np.array_equal(curve, ref_curve)
 
+    def test_trained_layers_stay_views_of_params(self, small_corpus):
+        _, noisy = small_corpus
+        model, _ = train_new(noisy[:500], TrainConfig(seed=3))
+        assert model.params.flags.c_contiguous
+        for p in model.parameters():
+            assert np.shares_memory(p, model.params)
+
     def test_deterministic_end_to_end(self, small_corpus):
         _, noisy = small_corpus
         sub = noisy[:2000]
@@ -314,7 +325,75 @@ class TestSample:
         assert sample_matrix(model, 5, rng=13).shape == (5, model.input_dim)
 
 
+def old_pack_payload(model):
+    """The per-tensor payload writer that defined the model file format."""
+    hidden = tuple(layer.out_dim for layer in model.encoder.layers)
+    dec_hidden = tuple(layer.out_dim for layer in model.decoder.layers[:-1])
+    parts = [
+        struct.pack("<I", 1),
+        struct.pack("<II", model.latent_dim, model.input_dim),
+        struct.pack("<I", len(hidden)),
+        struct.pack(f"<{len(hidden)}I", *hidden),
+        struct.pack("<I", len(dec_hidden)),
+        struct.pack(f"<{len(dec_hidden)}I", *dec_hidden),
+        struct.pack("<dd", model.input_offset, model.input_scale),
+    ]
+    for p in model.parameters():
+        parts.append(p.astype("<f8").tobytes())
+    return b"".join(parts)
+
+
+def write_payload(path, payload):
+    """Write a model file around ``payload`` with a valid checksum."""
+    path.write_bytes(b"IPVAE" + payload + hashlib.sha256(payload).digest()[:8])
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("kwargs", [
+        dict(rng=3), dict(input_dim=6, latent_dim=1, hidden=(5, 3), rng=4),
+    ], ids=["default", "hidden-5-3"])
+    def test_bytes_match_per_tensor_writer(self, tmp_path, kwargs):
+        model = VaeModel.initialize(**kwargs)
+        model.input_offset, model.input_scale = 4.25, 7.5
+        save(model, tmp_path / "model.ipvae")
+        expected = old_pack_payload(model)
+        assert (tmp_path / "model.ipvae").read_bytes() == (
+            b"IPVAE" + expected + hashlib.sha256(expected).digest()[:8]
+        )
+        save(load(tmp_path / "model.ipvae"), tmp_path / "again.ipvae")
+        assert (tmp_path / "again.ipvae").read_bytes() == (
+            tmp_path / "model.ipvae").read_bytes()
+
+    def test_wrong_parameter_count_rejected(self, toy_model):
+        with pytest.raises(ValueError, match="parameters"):
+            VaeModel(toy_model.params[:-1], 20, 2, (16, 8))
+
+    def test_payload_shorter_than_header(self, tmp_path):
+        write_payload(tmp_path / "m.ipvae", struct.pack("<3I", 1, 2, 20))
+        with pytest.raises(ModelTruncatedError, match="header"):
+            load(tmp_path / "m.ipvae")
+
+    @pytest.mark.parametrize("widths", [
+        (2, 16, 8, 2, 16, 8), (2, 16, 8, 1, 8, 0), (3, 16, 8, 2, 8, 16),
+    ], ids=["not-mirrored", "one-decoder-layer", "three-encoder-layers"])
+    def test_unsupported_architecture(self, tmp_path, widths):
+        header = MODEL_HEADER.pack(1, 2, 20, *widths, 0.0, 1.0)
+        write_payload(tmp_path / "m.ipvae", header + bytes(8 * 1000))
+        with pytest.raises(ModelFileError, match="architecture"):
+            load(tmp_path / "m.ipvae")
+
+    def test_trailing_bytes(self, toy_model, tmp_path):
+        write_payload(tmp_path / "m.ipvae", old_pack_payload(toy_model) + bytes(8))
+        with pytest.raises(ModelFileError, match="8 trailing bytes"):
+            load(tmp_path / "m.ipvae")
+
+    def test_non_finite_parameter(self, tmp_path):
+        model = VaeModel.initialize(rng=5)
+        model.params[7] = np.nan
+        save(model, tmp_path / "m.ipvae")
+        with pytest.raises(ValueError, match="finite"):
+            load(tmp_path / "m.ipvae")
+
     def test_round_trip_bit_exact(self, small_model, tmp_path):
         model, _ = small_model
         path = tmp_path / "model.ipvae"
@@ -345,9 +424,6 @@ class TestPersistence:
             load(path)
 
     def test_version_mismatch(self, small_model, tmp_path):
-        import hashlib
-        import struct
-
         model, _ = small_model
         path = tmp_path / "model.ipvae"
         save(model, path)
@@ -360,8 +436,6 @@ class TestPersistence:
             load(path)
 
     def test_truncated_file(self, small_model, tmp_path):
-        import hashlib
-
         model, _ = small_model
         path = tmp_path / "model.ipvae"
         save(model, path)
@@ -373,8 +447,6 @@ class TestPersistence:
             load(path)
 
     def test_bad_magic(self, tmp_path):
-        from ipvae.vae import ModelFileError
-
         path = tmp_path / "junk.ipvae"
         path.write_bytes(b"NOTIP" + b"\x00" * 64)
         with pytest.raises(ModelFileError, match="magic"):
