@@ -274,19 +274,19 @@ def dlc_difference(a: DensityChart, b: DensityChart) -> float:
     return float(np.mean(np.abs(a.grid - b.grid)))
 
 
-def latent_chargeability_correlation(
-    model: VaeModel, values: np.ndarray
-) -> np.ndarray:
+def latent_chargeability_correlation(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Pearson r between each latent mean coordinate and the average
-    chargeability, across the rows of an (n, d) corpus."""
+    chargeability, across the rows of an (n, d) corpus; ``mu`` is the (n, K)
+    latent mean of those rows (the first result of ``vae.encode``)."""
     if len(values) < 3:
         raise ValueError("need at least 3 decays for a correlation")
-    mu, _ = vae_mod.encode(model, values)
+    if mu.ndim != 2 or len(mu) != len(values):
+        raise ValueError(f"latent means of shape {mu.shape} for {len(values)} decays")
     m_bar = average_chargeability(values)
     if np.std(m_bar) == 0.0:
         raise ValueError("average chargeability has zero variance")
-    out = np.empty(model.latent_dim)
-    for k in range(model.latent_dim):
+    out = np.empty(mu.shape[1])
+    for k in range(mu.shape[1]):
         if np.std(mu[:, k]) == 0.0:
             raise ValueError(f"latent coordinate {k} has zero variance")
         out[k] = np.corrcoef(mu[:, k], m_bar)[0, 1]

@@ -321,7 +321,7 @@ def cmd_report(args) -> int:
         generated, bins=args.bins, amplitude_range=amplitude_range
     )
     dlc = analysis.dlc_difference(model_chart, corpus_chart)
-    corr = analysis.latent_chargeability_correlation(model, values)
+    corr = analysis.latent_chargeability_correlation(mu, values)
 
     # every result is computed before the first file is written, so a
     # rejected corpus leaves no partial report behind

@@ -255,6 +255,58 @@ def _row_fields(block: np.ndarray) -> list[str]:
     return text
 
 
+# Rows per chunk of a table, and the fewest cells (rows x columns) a table
+# must hold for its chunks to be formatted by a process pool. On 2 cores a
+# pool costs 20-35 ms and breaks even near 33 000 float cells (two full
+# chunks); twice that keeps small tables, such as a loss curve, serial.
+_CHUNK_ROWS = 4096
+_PARALLEL_MIN_CELLS = 65_536
+
+
+def _chunk_text(groups: list[list[np.ndarray]], start: int) -> str:
+    """Text of the table rows ``start`` to ``start + _CHUNK_ROWS``."""
+    rows = slice(start, start + _CHUNK_ROWS)
+    fields = [
+        _row_fields(np.column_stack([b[rows] for b in g]) if len(g) > 1 else g[0][rows])
+        for g in groups
+    ]
+    return "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+# The column groups of the table a pool worker formats. Only the workers set
+# it, once each, in _adopt_groups: they inherit the arrays from the parent
+# through fork, so no column is pickled.
+_worker_groups: list[list[np.ndarray]] = []
+
+
+def _adopt_groups(groups: list[list[np.ndarray]]) -> None:
+    global _worker_groups
+    _worker_groups = groups
+
+
+def _worker_chunk_text(start: int) -> str:
+    return _chunk_text(_worker_groups, start)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where a fork is not
+    available or not safe: without the ``fork`` start method, or while other
+    Python threads run (a child would inherit any lock they hold)."""
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def write_table(path, header: str, *columns) -> None:
     """Write a CSV table atomically: the ``header`` text (the column names,
     after any leading comment lines), then one line per row of the column
@@ -265,6 +317,14 @@ def write_table(path, header: str, *columns) -> None:
     empty field; integers in decimal, bools as ``1``/``0``, strings as they
     are. Rows are formatted 4096 at a time; adjacent float blocks are
     stacked per chunk, so each row's floats take one join.
+
+    Chunks are formatted on every usable core: a table of two or more
+    chunks and at least 65 536 cells (rows x columns) is formatted by a
+    ``fork`` pool of one worker process per usable CPU, and the chunk texts
+    are written in row order. Smaller tables, single-CPU hosts, platforms
+    without ``fork`` and processes running other threads format serially;
+    the bytes are the same either way. An error in a worker is raised here
+    and leaves no file behind.
     """
     blocks = [np.asarray(c) for c in columns]
     n = len(blocks[0])
@@ -280,15 +340,16 @@ def write_table(path, header: str, *columns) -> None:
             groups[-1].append(b)
         else:
             groups.append([b])
+    starts = range(0, n, _CHUNK_ROWS)
+    workers = min(_usable_cpus(), len(starts)) if n * width >= _PARALLEL_MIN_CELLS else 1
+    context = _fork_context() if workers > 1 else None
     with atomic_open(path) as fh:
         fh.write(header + "\n")
-        for start in range(0, n, 4096):
-            rows = slice(start, start + 4096)
-            fields = [
-                _row_fields(np.column_stack([b[rows] for b in g]) if len(g) > 1 else g[0][rows])
-                for g in groups
-            ]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        if context is None:
+            fh.writelines(_chunk_text(groups, start) for start in starts)
+        else:
+            with context.Pool(workers, _adopt_groups, (groups,)) as pool:
+                fh.writelines(pool.imap(_worker_chunk_text, starts))
 
 
 def write_decays(decays: DecaySet, path) -> None:

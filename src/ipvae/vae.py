@@ -244,7 +244,6 @@ class VaeCache:
 
     x_std: np.ndarray
     enc_acts: list[np.ndarray]
-    h_enc: np.ndarray
     mu: np.ndarray
     logvar: np.ndarray
     sigma: np.ndarray
@@ -300,7 +299,6 @@ def loss_given_eps(
     cache = VaeCache(
         x_std=x_std,
         enc_acts=enc_acts,
-        h_enc=h,
         mu=mu,
         logvar=logvar,
         sigma=sigma,
@@ -341,9 +339,10 @@ def loss_backward(model: VaeModel, cache: VaeCache) -> list[np.ndarray]:
     ) / n
 
     # identity-activation heads share the encoder output as input
-    mu_w_grad = d_mu.T @ cache.h_enc
+    h_enc = cache.enc_acts[-1]
+    mu_w_grad = d_mu.T @ h_enc
     mu_b_grad = d_mu.sum(axis=0)
-    lv_w_grad = d_logvar.T @ cache.h_enc
+    lv_w_grad = d_logvar.T @ h_enc
     lv_b_grad = d_logvar.sum(axis=0)
     d_h = d_mu @ model.mu_head.weights + d_logvar @ model.logvar_head.weights
 

@@ -276,21 +276,30 @@ class TestLatentCorrelation:
         model, _ = small_model
         _, decays = small_corpus
         subset = decays[:2000]
-        r1 = latent_chargeability_correlation(model, subset)
-        r2 = latent_chargeability_correlation(model, subset[::-1])
+        r1 = latent_chargeability_correlation(vae_mod.encode(model, subset)[0], subset)
+        r2 = latent_chargeability_correlation(
+            vae_mod.encode(model, subset[::-1])[0], subset[::-1]
+        )
         assert np.allclose(r1, r2, atol=1e-12)
 
     def test_needs_three_decays(self, small_model, small_corpus):
         model, _ = small_model
         _, decays = small_corpus
-        with pytest.raises(ValueError):
-            latent_chargeability_correlation(model, decays[:2])
+        with pytest.raises(ValueError, match="at least 3"):
+            latent_chargeability_correlation(vae_mod.encode(model, decays[:2])[0], decays[:2])
+
+    def test_latent_rows_must_match_decays(self, small_model, small_corpus):
+        model, _ = small_model
+        _, decays = small_corpus
+        mu, _ = vae_mod.encode(model, decays[:10])
+        with pytest.raises(ValueError, match="latent means of shape"):
+            latent_chargeability_correlation(mu, decays[:11])
 
     def test_degenerate_population_rejected(self, small_model):
         model, _ = small_model
         same = np.tile(np.linspace(20, 2, 20), (10, 1))
         with pytest.raises(ValueError, match="variance"):
-            latent_chargeability_correlation(model, same)
+            latent_chargeability_correlation(vae_mod.encode(model, same)[0], same)
 
     def test_untrained_model_negative_control(self, small_corpus):
         # no bound asserted for a freshly initialized model; recorded only
@@ -298,7 +307,8 @@ class TestLatentCorrelation:
 
         _, decays = small_corpus
         model = VaeModel.initialize(rng=77)
-        r = latent_chargeability_correlation(model, decays[:1000])
+        subset = decays[:1000]
+        r = latent_chargeability_correlation(vae_mod.encode(model, subset)[0], subset)
         assert np.all(np.isfinite(r))
 
 

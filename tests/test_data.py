@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import threading
+import warnings
+from multiprocessing.pool import RemoteTraceback
 
 import numpy as np
 import pytest
@@ -321,6 +326,146 @@ class TestWriteTable:
         with pytest.raises(ValueError, match="column names"):
             write_table(tmp_path / "t.csv", header, *columns)
         assert list(tmp_path.iterdir()) == []
+
+
+def force_serial(m):
+    m.setattr(data, "_usable_cpus", lambda: 1)
+
+
+def force_pool(m):
+    """Format every table of two or more chunks in a pool of three workers
+    (more than some hosts have cores), and fail if a chunk of such a table
+    is formatted in the calling process."""
+    parent, chunk_text = os.getpid(), data._chunk_text
+
+    def in_worker(groups, start):
+        if os.getpid() == parent and len(groups[0][0]) > data._CHUNK_ROWS:
+            raise AssertionError("chunk formatted outside the pool")
+        return chunk_text(groups, start)
+
+    m.setattr(data, "_usable_cpus", lambda: 3)
+    m.setattr(data, "_PARALLEL_MIN_CELLS", 0)
+    m.setattr(data, "_chunk_text", in_worker)
+
+
+def serial_and_pooled_bytes(monkeypatch, tmp_path, write):
+    """The bytes ``write(path)`` leaves with the serial and with the pooled
+    chunk formatter."""
+    out = []
+    for force in (force_serial, force_pool):
+        path = tmp_path / f"{force.__name__}.csv"
+        with monkeypatch.context() as m:
+            force(m)
+            write(path)
+        out.append(path.read_bytes())
+    return out
+
+
+def mixed_columns(n):
+    """One column of each kind write_table formats, with NaN, inf and -0.0."""
+    rng = np.random.default_rng(n)
+    meta = rng.uniform(1.0, 100.0, n)
+    meta[rng.random(n) < 0.5] = np.nan
+    block = rng.normal(0.0, 10.0, (n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    block[::5, 0] = np.inf
+    block[1::7, 1] = -np.inf
+    block[2::3, 2] = -0.0
+    return (
+        np.arange(n), meta, block, rng.normal(size=n).astype(np.float32),
+        rng.random(n) < 0.5, rng.integers(-5, 5, n), rng.integers(0, 256, n).astype(np.uint8),
+        np.array([f"s{i % 13}" for i in range(n)]), -rng.random((n, 1)),
+    )
+
+
+class TestPooledWriter:
+    """Chunks formatted by the process pool give the serial writer's bytes."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 1])
+    def test_column_mix_same_bytes(self, monkeypatch, tmp_path, n):
+        header = "# a comment line\nid,meta,x1,x2,x3,f32,flag,int,u8,name,last"
+        serial, pooled = serial_and_pooled_bytes(
+            monkeypatch, tmp_path, lambda path: write_table(path, header, *mixed_columns(n))
+        )
+        assert pooled == serial
+        assert serial.count(b"\n") == n + 2
+
+    def test_decay_file_same_bytes(self, monkeypatch, tmp_path):
+        n = 3 * 4096 + 1
+        _, noisy = synthesize_corpus(SyntheticSpec(n=n, seed=23))
+        rng = np.random.default_rng(23)
+        vp, current, label = rng.uniform(1.0, 100.0, (3, n))
+        vp[rng.random(n) < 0.5] = np.nan
+        current[4096:] = np.nan
+        label[:4096] = np.nan
+        decays = DecaySet(noisy, WindowScheme(delay_ms=120.5), vp, current, label)
+        serial, pooled = serial_and_pooled_bytes(
+            monkeypatch, tmp_path, lambda path: write_decays(decays, path)
+        )
+        assert pooled == serial
+        assert np.array_equal(read_decays(tmp_path / "force_pool.csv").label, label,
+                              equal_nan=True)
+
+    def test_small_table_stays_serial(self, monkeypatch, tmp_path):
+        def no_pool():
+            raise AssertionError("pool used for a small table")
+
+        monkeypatch.setattr(data, "_fork_context", no_pool)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        write_table(tmp_path / "t.csv", "a,b", np.arange(8192), np.ones(8192))
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 8193
+
+    def test_no_fork_while_other_threads_run(self):
+        assert data._fork_context() is not None
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        thread.start()
+        try:
+            assert data._fork_context() is None
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_workers_gone_after_write(self, monkeypatch, tmp_path):
+        force_pool(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            write_table(tmp_path / "t.csv", "a", np.arange(10_000))
+        # Python 3.12 warns when it forks a process that runs threads
+        assert [w for w in caught if "fork" in str(w.message)] == []
+        assert multiprocessing.active_children() == []
+
+
+class TestPooledAtomicOutputs:
+    """TestAtomicOutputs of test_cli, with the failing chunk in a worker."""
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("unprintable value")
+
+    def failing_column(self):
+        """An object column whose value in the second 4096-row chunk fails."""
+        column = np.arange(5000).astype(object)
+        column[4500] = self.Unprintable()
+        return column
+
+    def test_failed_write_leaves_no_file(self, monkeypatch, tmp_path):
+        force_pool(monkeypatch)
+        with pytest.raises(RuntimeError, match="unprintable value") as raised:
+            write_table(tmp_path / "out.csv", "a,b", self.failing_column(), np.ones(5000))
+        assert isinstance(raised.value.__cause__, RemoteTraceback)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_failed_rewrite_keeps_previous_file(self, monkeypatch, tmp_path):
+        force_pool(monkeypatch)
+        target = tmp_path / "out.csv"
+        write_table(target, "a,b", np.array([0]), np.array([1.0]))
+        with pytest.raises(RuntimeError, match="unprintable value"):
+            write_table(target, "a,b", self.failing_column(), np.ones(5000))
+        assert target.read_text() == "a,b\n0,1.0\n"
+        assert list(tmp_path.iterdir()) == [target]
+        assert multiprocessing.active_children() == []
 
 
 class TestBulkReader:
