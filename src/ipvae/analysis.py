@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import data
 from . import filters as flt
 from . import vae as vae_mod
 from .data import average_chargeability
@@ -131,6 +132,38 @@ def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
     return out
 
 
+# Multiply-adds of the largest decoder product of one decode block. OpenBLAS
+# runs a gemm with m*n*k <= 65 536 * 4 on the calling thread, so a block of
+# this size never starts BLAS threads, which a pool worker cannot use.
+_BLOCK_MULTIPLY_ADDS = 2**18
+# Samples (rows x realizations) from which denoise_matrix decodes in a
+# process pool; bench's 2k-row sweep calls at R=100 stay below it. A range
+# of a pool holds at most half of it, so a pooled call has two or more.
+_POOL_MIN_SAMPLES = 2**18
+
+
+def _block_rows(model: VaeModel, n_realizations: int) -> int:
+    """Rows per decode block: all realizations of the block's rows pass the
+    decoder's widest layer in at most _BLOCK_MULTIPLY_ADDS multiply-adds."""
+    widest = max(layer.in_dim * layer.out_dim for layer in model.decoder.layers)
+    return max(1, _BLOCK_MULTIPLY_ADDS // (n_realizations * widest))
+
+
+def _denoise_rows(shared, rows: slice) -> None:
+    """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows`` into
+    the (3, n, d) output, decoding block by block."""
+    model, mu, sigma, eps, block, out = shared
+    r = eps.shape[0]
+    for start in range(rows.start, rows.stop, block):
+        block_rows = slice(start, min(start + block, rows.stop))
+        z = mu[block_rows] + eps[:, block_rows] * sigma[block_rows]
+        recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
+        recs = recs.reshape(r, -1, model.input_dim).transpose(1, 2, 0).copy()
+        recs.sort(axis=-1)
+        for q, values in zip(out, sorted_quantiles(recs, (0.025, 0.5, 0.975))):
+            q[block_rows] = values
+
+
 def denoise_matrix(
     model: VaeModel,
     values: np.ndarray,
@@ -142,10 +175,16 @@ def denoise_matrix(
     Returns (median, ci_low, ci_high) per-window empirical 0.5/0.025/0.975
     quantiles over ``n_realizations`` encode-sample-decode passes.
 
-    Rows are decoded in blocks of about 16k latent samples, so memory is
-    the (R, n, K) noise draws plus the outputs, never all R·n·d
-    reconstructions. The noise is drawn in one call, which reads the same
-    stream as R draws of (n, K); results do not depend on the block size.
+    The rows are encoded and the (R, n, K) noise is drawn here, in one call,
+    which reads the same stream as R draws of (n, K). Rows are then decoded
+    in blocks sized from the model: all R samples of a block's rows pass
+    the decoder's widest layer in at most 2^18 multiply-adds (8 rows for
+    the default model at R=100), which OpenBLAS runs on the calling thread.
+    Memory is the noise draws plus the outputs, never all R·n·d
+    reconstructions. From 2^18 samples (n·R) on, the blocks are decoded on
+    every usable core by a ``fork`` pool of worker processes, each taking
+    contiguous ranges of whole blocks. Results depend neither on the block
+    size nor on the pool.
     """
     if n_realizations < 2:
         raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
@@ -154,15 +193,15 @@ def denoise_matrix(
     n, d = values.shape
     mu, sigma = vae_mod.encode(model, values)
     eps = rng.standard_normal((n_realizations, *mu.shape))
-    block = max(1, 2**14 // n_realizations)
-    med, lo, hi = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        z = mu[rows] + eps[:, rows] * sigma[rows]
-        recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
-        recs = recs.reshape(n_realizations, -1, d).transpose(1, 2, 0).copy()
-        recs.sort(axis=-1)
-        lo[rows], med[rows], hi[rows] = sorted_quantiles(recs, (0.025, 0.5, 0.975))
+    block = _block_rows(model, n_realizations)
+    max_rows = max(block, _POOL_MIN_SAMPLES // (2 * n_realizations))
+    out = data._shared_empty((3, n, d))
+    with data._map_rows(_denoise_rows, (model, mu, sigma, eps, block, out), n, max_rows,
+                        unit=block, pooled=n * n_realizations >= _POOL_MIN_SAMPLES,
+                        ) as done:
+        for _ in done:
+            pass
+    lo, med, hi = out
     return med, lo, hi
 
 

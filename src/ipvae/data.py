@@ -13,6 +13,7 @@ decay files included, goes through :func:`write_table`.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import warnings
 from contextlib import contextmanager, suppress
@@ -255,17 +256,16 @@ def _row_fields(block: np.ndarray) -> list[str]:
     return text
 
 
-# Rows per chunk of a table, and the fewest cells (rows x columns) a table
-# must hold for its chunks to be formatted by a process pool. On 2 cores a
-# pool costs 20-35 ms and breaks even near 33 000 float cells (two full
-# chunks); twice that keeps small tables, such as a loss curve, serial.
+# Rows per chunk of a table, at most, and the fewest cells (rows x columns) a
+# table must hold for its chunks to be formatted by a process pool. On 2
+# cores a pool costs 20-35 ms and breaks even near 33 000 float cells (two
+# full chunks); twice that keeps small tables, such as a loss curve, serial.
 _CHUNK_ROWS = 4096
 _PARALLEL_MIN_CELLS = 65_536
 
 
-def _chunk_text(groups: list[list[np.ndarray]], start: int) -> str:
-    """Text of the table rows ``start`` to ``start + _CHUNK_ROWS``."""
-    rows = slice(start, start + _CHUNK_ROWS)
+def _chunk_text(groups: list[list[np.ndarray]], rows: slice) -> str:
+    """Text of the table rows ``rows``."""
     fields = [
         _row_fields(np.column_stack([b[rows] for b in g]) if len(g) > 1 else g[0][rows])
         for g in groups
@@ -273,19 +273,20 @@ def _chunk_text(groups: list[list[np.ndarray]], start: int) -> str:
     return "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
-# The column groups of the table a pool worker formats. Only the workers set
-# it, once each, in _adopt_groups: they inherit the arrays from the parent
-# through fork, so no column is pickled.
-_worker_groups: list[list[np.ndarray]] = []
+# The task function and its shared data in a pool worker. Only the workers
+# set them, once each, in _adopt_task: they inherit both from the parent
+# through fork, so no array is pickled.
+_worker_task = None
 
 
-def _adopt_groups(groups: list[list[np.ndarray]]) -> None:
-    global _worker_groups
-    _worker_groups = groups
+def _adopt_task(func, shared) -> None:
+    global _worker_task
+    _worker_task = (func, shared)
 
 
-def _worker_chunk_text(start: int) -> str:
-    return _chunk_text(_worker_groups, start)
+def _run_adopted(rows: slice):
+    func, shared = _worker_task
+    return func(shared, rows)
 
 
 def _usable_cpus() -> int:
@@ -307,6 +308,53 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array in a shared anonymous mapping: pool
+    workers forked after it is made write their results into it in place,
+    so no result is pickled or copied."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size).reshape(shape)
+
+
+def _split_rows(n: int, parts: int, unit: int) -> list[slice]:
+    """At most ``parts`` contiguous ranges covering rows 0 to n, each a whole
+    number of ``unit``-row blocks (the last block may be short), with block
+    counts that differ by at most one."""
+    blocks = -(-n // unit)
+    parts = min(parts, blocks)
+    if parts == 0:
+        return []
+    edges = [min(n, unit * (blocks * i // parts)) for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+@contextmanager
+def _map_rows(func, shared, n: int, max_rows: int, *, unit: int = 1, pooled: bool):
+    """Yield an iterator of ``func(shared, rows)`` over contiguous row ranges
+    ``rows`` that cover rows 0 to n, in row order.
+
+    The ranges are as equal as whole ``unit``-row blocks allow and hold at
+    most about ``max_rows`` rows each. When ``pooled`` and a ``fork`` is safe,
+    ``func`` runs in a pool of one worker process per usable CPU, at most
+    one per ``max_rows`` rows; the workers inherit ``func`` and ``shared``
+    through ``fork`` and only the ranges and results are pickled, and the
+    number of ranges is a multiple of the workers so they finish together.
+    Otherwise ``func`` runs lazily in this process, on the same ranges as a
+    pool of one. A worker's exception is raised from the iterator, and the
+    pool is torn down when the ``with`` block ends.
+    """
+    workers = min(_usable_cpus(), -(-n // max_rows)) if pooled else 1
+    context = _fork_context() if workers > 1 else None
+    if context is None:
+        workers = 1
+    ranges = _split_rows(n, workers * -(-n // (workers * max_rows)), unit)
+    if context is None:
+        yield (func(shared, rows) for rows in ranges)
+        return
+    with context.Pool(workers, _adopt_task, (func, shared)) as pool:
+        yield pool.imap(_run_adopted, ranges)
+
+
 def write_table(path, header: str, *columns) -> None:
     """Write a CSV table atomically: the ``header`` text (the column names,
     after any leading comment lines), then one line per row of the column
@@ -315,16 +363,17 @@ def write_table(path, header: str, *columns) -> None:
     This is the one place that sets the text of a number in an output file.
     Floats are written in shortest round-trip form (``repr``), NaN as an
     empty field; integers in decimal, bools as ``1``/``0``, strings as they
-    are. Rows are formatted 4096 at a time; adjacent float blocks are
-    stacked per chunk, so each row's floats take one join.
+    are. Rows are formatted in equal chunks of at most 4096 rows; adjacent
+    float blocks are stacked per chunk, so each row's floats take one join.
 
-    Chunks are formatted on every usable core: a table of two or more
-    chunks and at least 65 536 cells (rows x columns) is formatted by a
-    ``fork`` pool of one worker process per usable CPU, and the chunk texts
-    are written in row order. Smaller tables, single-CPU hosts, platforms
-    without ``fork`` and processes running other threads format serially;
-    the bytes are the same either way. An error in a worker is raised here
-    and leaves no file behind.
+    Chunks are formatted on every usable core: a table of more than 4096
+    rows and at least 65 536 cells (rows x columns) is formatted by a
+    ``fork`` pool of one worker process per usable CPU, in a multiple of
+    the workers' count of chunks, and the chunk texts are written in row
+    order. Smaller tables, single-CPU hosts, platforms without ``fork`` and
+    processes running other threads format serially; the bytes are the
+    same either way. An error in a worker is raised here and leaves no file
+    behind.
     """
     blocks = [np.asarray(c) for c in columns]
     n = len(blocks[0])
@@ -340,16 +389,11 @@ def write_table(path, header: str, *columns) -> None:
             groups[-1].append(b)
         else:
             groups.append([b])
-    starts = range(0, n, _CHUNK_ROWS)
-    workers = min(_usable_cpus(), len(starts)) if n * width >= _PARALLEL_MIN_CELLS else 1
-    context = _fork_context() if workers > 1 else None
-    with atomic_open(path) as fh:
+    pooled = n * width >= _PARALLEL_MIN_CELLS
+    with atomic_open(path) as fh, _map_rows(_chunk_text, groups, n, _CHUNK_ROWS,
+                                            pooled=pooled) as texts:
         fh.write(header + "\n")
-        if context is None:
-            fh.writelines(_chunk_text(groups, start) for start in starts)
-        else:
-            with context.Pool(workers, _adopt_groups, (groups,)) as pool:
-                fh.writelines(pool.imap(_worker_chunk_text, starts))
+        fh.writelines(texts)
 
 
 def write_decays(decays: DecaySet, path) -> None:

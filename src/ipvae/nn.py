@@ -64,8 +64,11 @@ def forward(layer: DenseLayer, x: np.ndarray, activation: str = "identity") -> n
         raise ValueError(
             f"input dim {x.shape[-1]} does not match layer in-dim {layer.in_dim}"
         )
-    pre = x @ layer.weights.T + layer.bias
-    return np.tanh(pre) if activation == "tanh" else pre
+    pre = x @ layer.weights.T
+    pre += layer.bias
+    if activation == "tanh":
+        np.tanh(pre, out=pre)
+    return pre
 
 
 class Mlp:

@@ -1,8 +1,12 @@
 import math
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from ipvae import analysis, data
 from ipvae import vae as vae_mod
 from ipvae.analysis import (
     denoise_all,
@@ -170,7 +174,7 @@ class TestBlockedDenoise:
                                          realizations, rows):
         model, _ = small_model
         _, decays = small_corpus
-        block = max(1, 2**14 // realizations)
+        block = analysis._block_rows(model, realizations)
         n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1, "1000": 1000}[rows]
         old_rng, new_rng = np.random.default_rng(17), np.random.default_rng(17)
         expected = unblocked_denoise_matrix(model, decays[:n], realizations, old_rng)
@@ -185,6 +189,87 @@ class TestBlockedDenoise:
                 np.testing.assert_allclose(g, e, rtol=1e-13, atol=1e-13)
             else:
                 assert g.tobytes() == e.tobytes()
+
+
+def force_serial(m):
+    m.setattr(data, "_usable_cpus", lambda: 1)
+
+
+def force_pool(m, block_ranges):
+    """Decode in a pool of three workers (more than some hosts have cores)
+    from one block on, and fail if a call of two or more blocks is decoded
+    in the calling process. With ``block_ranges`` every pool task is one
+    block; otherwise the tasks keep their normal size and only calls at
+    or above the normal threshold are pooled."""
+    parent, denoise_rows = os.getpid(), analysis._denoise_rows
+    threshold = 0 if block_ranges else analysis._POOL_MIN_SAMPLES
+
+    def in_worker(shared, rows):
+        _, mu, _, eps, block, _ = shared
+        if os.getpid() == parent and len(mu) > block and eps.shape[0] * len(mu) >= threshold:
+            raise AssertionError("blocks decoded outside the pool")
+        return denoise_rows(shared, rows)
+
+    m.setattr(data, "_usable_cpus", lambda: 3)
+    m.setattr(analysis, "_POOL_MIN_SAMPLES", threshold)
+    m.setattr(analysis, "_denoise_rows", in_worker)
+
+
+class TestPooledDenoise:
+    """Blocks decoded by the process pool give the serial bits and leave the
+    generator in the same state."""
+
+    @pytest.mark.parametrize("block_ranges", [True, False], ids=["block-tasks", "sized-tasks"])
+    @pytest.mark.parametrize("realizations", [2, 3, 100])
+    @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "1000", "20001"])
+    def test_pooled_equals_serial(self, monkeypatch, small_model, small_corpus,
+                                  realizations, rows, block_ranges):
+        model, _ = small_model
+        _, decays = small_corpus
+        block = analysis._block_rows(model, realizations)
+        n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1,
+             "1000": 1000, "20001": 20_001}[rows]
+        values = np.concatenate([decays, decays[:1]])[:n]
+        results, states = [], []
+        for force in (force_serial, lambda m: force_pool(m, block_ranges)):
+            rng = np.random.default_rng(29)
+            with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                force(m)
+                results.append(denoise_matrix(model, values, realizations, rng))
+            states.append(rng.bit_generator.state)
+            # Python 3.12 warns when it forks a process that runs threads
+            assert [w for w in caught if "fork" in str(w.message)] == []
+        serial, pooled = results
+        assert states[1] == states[0]
+        for s, p in zip(serial, pooled):
+            assert s.shape == (n, decays.shape[1])
+            assert p.tobytes() == s.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_block_rows_from_model(self, small_model):
+        model, _ = small_model
+        # widest decoder layer 16 -> 20: 2**18 // (100 * 320) rows at R=100
+        assert analysis._block_rows(model, 100) == 8
+        assert analysis._block_rows(model, 2) == 409
+        assert analysis._block_rows(model, 10**6) == 1
+
+    def test_worker_error_reaches_caller(self, monkeypatch, small_model, small_corpus):
+        model, _ = small_model
+        _, decays = small_corpus
+        parent = os.getpid()
+
+        def failing(shared, rows):
+            if os.getpid() != parent:
+                raise RuntimeError(f"decode failed at row {rows.start}")
+            return analysis._denoise_rows(shared, rows)
+
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(analysis, "_POOL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(analysis, "_denoise_rows", failing)
+        with pytest.raises(RuntimeError, match=r"decode failed at row \d+"):
+            denoise_matrix(model, decays[:100], 100, rng=3)
+        assert multiprocessing.active_children() == []
 
 
 class TestSortedQuantiles:

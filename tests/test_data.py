@@ -436,6 +436,44 @@ class TestPooledWriter:
         assert multiprocessing.active_children() == []
 
 
+def range_rows(shared, rows):
+    return rows.stop - rows.start
+
+
+class TestRowRanges:
+    """Tables and denoising calls are cut into balanced row ranges."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 4097, 12_289])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 6])
+    @pytest.mark.parametrize("unit", [1, 8, 4096])
+    def test_split_rows_balanced_whole_blocks(self, n, parts, unit):
+        ranges = data._split_rows(n, parts, unit)
+        assert len(ranges) == min(parts, -(-n // unit))
+        assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
+        if n:
+            assert ranges[0].start == 0 and ranges[-1].stop == n
+        assert all(r.start % unit == 0 for r in ranges)
+        blocks = [-(-(r.stop - r.start) // unit) for r in ranges]
+        assert max(blocks, default=0) - min(blocks, default=0) <= 1
+
+    @pytest.mark.parametrize("n, cpus, sizes", [
+        (4096, 2, [4096]),
+        (4097, 2, [2048, 2049]),
+        (12_289, 2, [3072, 3072, 3072, 3073]),
+        (12_289, 3, [2048, 2048, 2048, 2048, 2048, 2049]),
+    ])
+    def test_pooled_table_in_equal_ranges(self, monkeypatch, n, cpus, sizes):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        with data._map_rows(range_rows, None, n, data._CHUNK_ROWS, pooled=True) as results:
+            assert list(results) == sizes
+        assert multiprocessing.active_children() == []
+
+    def test_serial_table_in_equal_ranges(self):
+        with data._map_rows(range_rows, None, 4097, data._CHUNK_ROWS,
+                            pooled=False) as results:
+            assert list(results) == [2048, 2049]
+
+
 class TestPooledAtomicOutputs:
     """TestAtomicOutputs of test_cli, with the failing chunk in a worker."""
 

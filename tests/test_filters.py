@@ -6,6 +6,7 @@ from ipvae.filters import (
     CUTOFF_GRID,
     EMA_GRID,
     MA_GRID,
+    butterworth_coeffs,
     butterworth_lowpass,
     exponential_moving_average,
     moving_average,
@@ -155,3 +156,65 @@ class TestTune:
     def test_scheme_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             tune_batch("MA", self.noisy, np.ones((1, 10)))
+
+
+def reference_iir(rows, b0, b1, a1):
+    """The one-candidate recursion over the rows of an (n, d) matrix."""
+    out = np.empty_like(rows)
+    out[:, 0] = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        out[:, j] = b0 * rows[:, j] + b1 * rows[:, j - 1] - a1 * out[:, j - 1]
+    return out
+
+
+def reference_tune_batch(kind, noisy, reference):
+    """Grid search one candidate at a time, stacked into a (C, n, d) cube
+    whose squared differences are averaged along axis 2."""
+    if kind == "MA":
+        candidates = list(MA_GRID)
+        outputs = np.stack([moving_average(noisy, m) for m in candidates])
+    elif kind == "EMA":
+        candidates = [float(a) for a in EMA_GRID]
+        outputs = np.stack([reference_iir(noisy, a, 0.0, a - 1.0) for a in candidates])
+    else:
+        candidates = [float(w) for w in CUTOFF_GRID]
+        outputs = np.stack([reference_iir(noisy, *butterworth_coeffs(w)) for w in candidates])
+    errors = np.sqrt(np.mean((outputs - reference[None, :, :]) ** 2, axis=2))
+    best = np.argmin(errors, axis=0)
+    rows = np.arange(noisy.shape[0])
+    return np.asarray(candidates)[best], outputs[best, rows], errors[best, rows]
+
+
+class TestGridBits:
+    """All candidates filtered in one recursion give the bits of filtering
+    with one candidate at a time."""
+
+    def corpus(self):
+        truth, noisy = synthesize_corpus(SyntheticSpec(n=500, noise_sigma=1.1, seed=61))
+        noisy[0] = truth[0]  # zero error for the identity-most candidate
+        noisy[1], truth[1] = 0.0, 1.0  # every candidate outputs 0: all tie
+        noisy[2], truth[2] = 2.0, 2.0  # a constant the filters keep
+        return noisy, truth
+
+    @pytest.mark.parametrize("kind", ["MA", "EMA", "Butterworth"])
+    def test_tune_batch_bit_equal(self, kind):
+        noisy, truth = self.corpus()
+        got = tune_batch(kind, noisy, truth)
+        expected = reference_tune_batch(kind, noisy, truth)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+        first = {"MA": MA_GRID[0], "EMA": EMA_GRID[0], "Butterworth": CUTOFF_GRID[0]}[kind]
+        assert got[0][1] == first  # a tie goes to the least smoothing
+        assert got[2][1] == 1.0
+
+    def test_single_candidate_filters_bit_equal(self):
+        noisy, _ = self.corpus()
+        for alpha in EMA_GRID:
+            expected = reference_iir(noisy, alpha, 0.0, alpha - 1.0)
+            assert exponential_moving_average(noisy, alpha).tobytes() == expected.tobytes()
+            assert exponential_moving_average(noisy[3], alpha).tobytes() == expected[3].tobytes()
+        for cutoff in CUTOFF_GRID:
+            expected = reference_iir(noisy, *butterworth_coeffs(cutoff))
+            assert butterworth_lowpass(noisy, cutoff).tobytes() == expected.tobytes()
+            assert butterworth_lowpass(noisy[3], cutoff).tobytes() == expected[3].tobytes()
