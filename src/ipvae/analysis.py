@@ -145,7 +145,7 @@ _POOL_MIN_SAMPLES = 2**18
 def _block_rows(model: VaeModel, n_realizations: int) -> int:
     """Rows per decode block: all realizations of the block's rows pass the
     decoder's widest layer in at most _BLOCK_MULTIPLY_ADDS multiply-adds."""
-    widest = max(layer.in_dim * layer.out_dim for layer in model.decoder.layers)
+    widest = max(w.size for w, _ in model.decoder.layers)
     return max(1, _BLOCK_MULTIPLY_ADDS // (n_realizations * widest))
 
 

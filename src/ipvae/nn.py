@@ -1,9 +1,12 @@
-"""Minimal dense-network kernel: linear layers, tanh, exact backprop, Adam.
+"""Dense-network kernel of the VAE: tanh layers, exact backprop, Adam.
 
-Just enough machinery for a small autoencoder. All arithmetic is float64.
-Layers operate on single vectors (d,) or batches (n, d); gradients returned
-by the backward pass are exact analytic derivatives of whatever scalar the
-upstream gradient differentiates, summed over the batch.
+The encoder trunk and the decoder are each an :class:`Mlp`, a fixed chain of
+dense layers y = tanh(x W^T + b) whose last layer is the identity when
+``linear_output`` is set. Every (W, b) pair is a view of the model's one flat
+parameter vector, so an in-place Adam step on that vector updates the
+layers. All arithmetic is float64 on (n, d) batches; the backward pass
+returns exact analytic derivatives of whatever scalar the upstream gradient
+differentiates, summed over the batch.
 """
 
 from __future__ import annotations
@@ -12,122 +15,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "identity")
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
 
-@dataclass
-class DenseLayer:
-    """Fully connected layer: y = act(W x + b), W is (out, in)."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise ValueError("weights must be 2-D and bias 1-D")
-        if self.weights.shape[0] != self.bias.shape[0]:
-            raise ValueError(
-                f"bias length {self.bias.shape[0]} does not match"
-                f" output dim {self.weights.shape[0]}"
-            )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("layer parameters must be finite")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @classmethod
-    def glorot(cls, out_dim: int, in_dim: int, rng: np.random.Generator) -> "DenseLayer":
-        """Uniform init in +-sqrt(6/(fan_in+fan_out)); bias starts at zero."""
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        w = rng.uniform(-limit, limit, size=(out_dim, in_dim))
-        return cls(weights=w, bias=np.zeros(out_dim))
-
-
-def forward(layer: DenseLayer, x: np.ndarray, activation: str = "identity") -> np.ndarray:
-    """Apply act(W x + b); x may be a vector (in,) or a batch (n, in)."""
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.in_dim:
-        raise ValueError(
-            f"input dim {x.shape[-1]} does not match layer in-dim {layer.in_dim}"
-        )
-    pre = x @ layer.weights.T
-    pre += layer.bias
-    if activation == "tanh":
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, tanh: bool) -> np.ndarray:
+    pre = x @ w.T
+    pre += b
+    if tanh:
         np.tanh(pre, out=pre)
     return pre
 
 
 class Mlp:
-    """A stack of dense layers with per-layer activations."""
+    """Dense layers over (W, b) pairs, W (out, in): tanh after every layer,
+    except an identity last layer when ``linear_output`` is set."""
 
-    def __init__(self, layers: list[DenseLayer], activations: list[str]):
-        if len(layers) != len(activations):
-            raise ValueError("need one activation per layer")
-        for act in activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], linear_output: bool):
         self.layers = layers
-        self.activations = activations
+        self.linear_output = linear_output
+        self._tanh = [True] * (len(layers) - 1) + [not linear_output]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer, act in zip(self.layers, self.activations):
-            x = forward(layer, x, act)
+        """Output for an (n, in) float64 batch."""
+        for (w, b), tanh in zip(self.layers, self._tanh):
+            x = _dense(x, w, b, tanh)
         return x
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass that also returns the activations backward needs:
         the input followed by each layer's output."""
-        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
-        for layer, act in zip(self.layers, self.activations):
-            acts.append(forward(layer, acts[-1], act))
+        acts = [x]
+        for (w, b), tanh in zip(self.layers, self._tanh):
+            acts.append(_dense(acts[-1], w, b, tanh))
         return acts[-1], acts
 
     def backward(
-        self, acts: list[np.ndarray] | None, upstream: np.ndarray
+        self, acts: list[np.ndarray], upstream: np.ndarray
     ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Backpropagate upstream = dL/d(output), shape (n, out).
+        """Backpropagate upstream = dL/d(output), shape (n, out), through the
+        activations of a preceding forward_cached call.
 
-        Returns the parameter gradients (summed over the batch), ordered like
-        parameters(), and dL/d(input). Requires the activations of a
-        preceding forward_cached call.
+        Returns each layer's weight then bias gradient (summed over the
+        batch), in layer order, and dL/d(input).
         """
-        if acts is None or len(acts) != len(self.layers) + 1:
-            raise ValueError("backward requires the activations of a forward pass")
-        g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+        g = upstream
         grads: list[np.ndarray] = []
         for i in range(len(self.layers) - 1, -1, -1):
-            out = acts[i + 1]
-            g_pre = g * (1.0 - out**2) if self.activations[i] == "tanh" else g
+            g_pre = g * (1.0 - acts[i + 1] ** 2) if self._tanh[i] else g
             grads += (g_pre.sum(axis=0), g_pre.T @ acts[i])
-            g = g_pre @ self.layers[i].weights
+            g = g_pre @ self.layers[i][0]
         return grads[::-1], g
-
-    def parameters(self) -> list[np.ndarray]:
-        return parameters(self.layers)
-
-
-def parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
-    """Each layer's weights then bias, in layer order."""
-    return [p for layer in layers for p in (layer.weights, layer.bias)]
 
 
 @dataclass

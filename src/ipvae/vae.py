@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import atomic_open
-from .nn import AdamState, DenseLayer, Mlp, adam_step, parameters
+from .nn import AdamState, Mlp, adam_step
 
 MODEL_MAGIC = b"IPVAE"
 MODEL_FORMAT_VERSION = 1
@@ -108,8 +108,8 @@ class VaeModel:
     """Encoder trunk, two latent heads, decoder, plus the input transform.
 
     Every weight and bias lives in ``params``, one C-contiguous float64
-    vector; the dense layers are reshaped views of it, so an in-place update
-    of ``params`` (an optimizer step) updates the layers.
+    vector; each layer's (W, b) pair is a reshaped view of it, so an in-place
+    update of ``params`` (an optimizer step) updates the layers.
     """
 
     params: np.ndarray
@@ -125,17 +125,19 @@ class VaeModel:
         size = _vector_size(shapes)
         if self.params.shape != (size,):
             raise ValueError(f"expected {size} parameters, got shape {self.params.shape}")
+        if not np.isfinite(self.params).all():
+            raise ValueError("model parameters must be finite")
         layers = []
         offset = 0
         for out_dim, in_dim in shapes:
             end = offset + out_dim * in_dim
             weights = self.params[offset:end].reshape(out_dim, in_dim)
             offset = end + out_dim
-            layers.append(DenseLayer(weights=weights, bias=self.params[end:offset]))
+            layers.append((weights, self.params[end:offset]))
         self._layers = layers
         enc1, enc2, self.mu_head, self.logvar_head, *dec = layers
-        self.encoder = Mlp([enc1, enc2], ["tanh", "tanh"])
-        self.decoder = Mlp(dec, ["tanh", "tanh", "identity"])
+        self.encoder = Mlp([enc1, enc2], linear_output=False)
+        self.decoder = Mlp(dec, linear_output=True)
 
     @classmethod
     def initialize(
@@ -145,28 +147,32 @@ class VaeModel:
         hidden: tuple[int, int] = (16, 8),
         rng: np.random.Generator | int = 0,
     ) -> "VaeModel":
+        """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), drawn layer
+        by layer in parameters() order; biases start at zero."""
         rng = np.random.default_rng(rng)
-        shapes = _layer_shapes(input_dim, latent_dim, hidden)
-        layers = [DenseLayer.glorot(out_dim, in_dim, rng) for out_dim, in_dim in shapes]
-        params = np.concatenate([p.ravel() for p in parameters(layers)])
-        return cls(params, input_dim, latent_dim, tuple(hidden))
-
-    def layers(self) -> list[DenseLayer]:
-        """Every dense layer, in parameters() order."""
-        return list(self._layers)
+        size = _vector_size(_layer_shapes(input_dim, latent_dim, hidden))
+        model = cls(np.zeros(size), input_dim, latent_dim, tuple(hidden))
+        for weights, _ in model._layers:
+            limit = np.sqrt(6.0 / sum(weights.shape))
+            weights[:] = rng.uniform(-limit, limit, size=weights.shape)
+        return model
 
     def parameters(self) -> list[np.ndarray]:
         """Each layer's weights then bias: consecutive views of params."""
-        return parameters(self.layers())
+        return [p for pair in self._layers for p in pair]
 
 
 def _layer_shapes(
     input_dim: int, latent_dim: int, hidden: tuple[int, int]
 ) -> list[tuple[int, int]]:
-    """(out, in) of every dense layer, in VaeModel.layers() order: encoder
-    hidden layers, latent mean head, latent log-variance head, then the
-    mirrored decoder. This is the layout of VaeModel.params."""
+    """(out, in) of every dense layer, in VaeModel.parameters() order:
+    encoder hidden layers, latent mean head, latent log-variance head, then
+    the mirrored decoder. This is the layout of VaeModel.params."""
     h1, h2 = hidden
+    for what, width in (("input", input_dim), ("latent", latent_dim),
+                        ("first hidden", h1), ("second hidden", h2)):
+        if width < 1:
+            raise ValueError(f"{what} width must be >= 1, got {width}")
     return [
         (h1, input_dim), (h2, h1),
         (latent_dim, h2), (latent_dim, h2),
@@ -204,8 +210,9 @@ def encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     x, single = _as_batch(x, model.input_dim, "input")
     h = model.encoder.forward(_standardize(model, x))
-    mu = h @ model.mu_head.weights.T + model.mu_head.bias
-    logvar = h @ model.logvar_head.weights.T + model.logvar_head.bias
+    (w_mu, b_mu), (w_lv, b_lv) = model.mu_head, model.logvar_head
+    mu = h @ w_mu.T + b_mu
+    logvar = h @ w_lv.T + b_lv
     sigma = np.exp(0.5 * logvar)
     if single:
         return mu[0], sigma[0]
@@ -274,8 +281,9 @@ def loss_given_eps(
     with np.errstate(all="ignore"):
         x_std = _standardize(model, x)
         h, enc_acts = model.encoder.forward_cached(x_std)
-        mu = h @ model.mu_head.weights.T + model.mu_head.bias
-        logvar = h @ model.logvar_head.weights.T + model.logvar_head.bias
+        (w_mu, b_mu), (w_lv, b_lv) = model.mu_head, model.logvar_head
+        mu = h @ w_mu.T + b_mu
+        logvar = h @ w_lv.T + b_lv
         sigma = np.exp(0.5 * logvar)
         z = mu + eps * sigma
         x_rec, dec_acts = model.decoder.forward_cached(z)
@@ -296,18 +304,10 @@ def loss_given_eps(
             (name for name, a in stages if not np.all(np.isfinite(a))), "loss terms"
         )
         raise NonFiniteError(f"{name} produced non-finite values")
-    cache = VaeCache(
-        x_std=x_std,
-        enc_acts=enc_acts,
-        mu=mu,
-        logvar=logvar,
-        sigma=sigma,
-        eps=eps,
-        dec_acts=dec_acts,
-        x_rec_std=x_rec,
-        kl_weight=kl_weight,
+    return report, VaeCache(
+        x_std=x_std, enc_acts=enc_acts, mu=mu, logvar=logvar, sigma=sigma, eps=eps,
+        dec_acts=dec_acts, x_rec_std=x_rec, kl_weight=kl_weight,
     )
-    return report, cache
 
 
 def loss(
@@ -344,7 +344,7 @@ def loss_backward(model: VaeModel, cache: VaeCache) -> list[np.ndarray]:
     mu_b_grad = d_mu.sum(axis=0)
     lv_w_grad = d_logvar.T @ h_enc
     lv_b_grad = d_logvar.sum(axis=0)
-    d_h = d_mu @ model.mu_head.weights + d_logvar @ model.logvar_head.weights
+    d_h = d_mu @ model.mu_head[0] + d_logvar @ model.logvar_head[0]
 
     enc_grads, _ = model.encoder.backward(cache.enc_acts, d_h)
     return enc_grads + [mu_w_grad, mu_b_grad, lv_w_grad, lv_b_grad] + dec_grads
@@ -486,7 +486,10 @@ def load(
         if expected is not None and dim != expected:
             raise ModelDimensionError(f"{path}: {what} dim is {dim}, expected {expected}")
 
-    shapes = _layer_shapes(input_dim, latent_dim, (h1, h2))
+    try:
+        shapes = _layer_shapes(input_dim, latent_dim, (h1, h2))
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
     size = 8 * _vector_size(shapes)
     body = payload[MODEL_HEADER.size :]
     if len(body) < size:

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 
@@ -170,6 +171,23 @@ class TestDenoise:
         assert len(rows_a) - 1 == 400
         assert filecmp.cmp(tmp_path / "a" / "results.csv",
                            tmp_path / "b" / "results.csv", shallow=False)
+
+    @pytest.mark.parametrize("widths, message", [
+        ((0, 20, 16, 8), "latent width must be >= 1, got 0"),
+        ((2, 20, 16, 0), "second hidden width must be >= 1, got 0"),
+    ], ids=["latent", "hidden"])
+    def test_zero_width_model_rejected(self, pipeline, tmp_path, capsys, widths, message):
+        k, d, h1, h2 = widths
+        shapes = [(h1, d), (h2, h1), (k, h2), (k, h2), (h2, k), (h1, h2), (d, h1)]
+        size = sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
+        payload = vae.MODEL_HEADER.pack(1, k, d, 2, h1, h2, 2, h2, h1, 0.0, 1.0)
+        payload += bytes(8 * size)
+        model = tmp_path / "zero.ipvae"
+        model.write_bytes(b"IPVAE" + payload + hashlib.sha256(payload).digest()[:8])
+        assert run("denoise", "--model", model,
+                   "--input", pipeline / "synth" / "contaminated.csv",
+                   "--realizations", 10, "--seed", 3, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out", f"{model}: {message}")
 
     def test_threshold_changes_only_outlier_column(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"

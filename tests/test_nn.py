@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ipvae.nn import AdamState, DenseLayer, Mlp, adam_step, forward
+from ipvae.nn import AdamState, Mlp, adam_step
 from ipvae.vae import VaeModel
+
+
+def random_layers(dims, rng):
+    """(W, b) pairs chaining dims[0] -> dims[1] -> ... with random biases."""
+    return [(rng.uniform(-1, 1, (out, inp)), rng.normal(0, 0.5, out))
+            for inp, out in zip(dims, dims[1:])]
 
 
 def finite_difference_grads(net, x, upstream_weights, h=1e-5):
     """Independent oracle: central differences of L = sum(w * net(x))."""
     grads = []
-    for p in net.parameters():
+    for p in (p for pair in net.layers for p in pair):
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
@@ -28,54 +34,61 @@ def finite_difference_grads(net, x, upstream_weights, h=1e-5):
 
 class TestForward:
     def test_identity_map(self):
-        layer = DenseLayer(weights=np.eye(4), bias=np.zeros(4))
-        x = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.array_equal(forward(layer, x, "identity"), x)
+        net = Mlp([(np.eye(4), np.zeros(4))], linear_output=True)
+        x = np.array([[1.0, -2.0, 3.0, 0.5]])
+        assert np.array_equal(net.forward(x), x)
 
     def test_zero_weights_tanh(self):
-        layer = DenseLayer(weights=np.zeros((3, 5)), bias=np.zeros(3))
-        out = forward(layer, np.ones(5), "tanh")
-        assert np.array_equal(out, np.zeros(3))
+        net = Mlp([(np.zeros((3, 5)), np.zeros(3))], linear_output=False)
+        assert np.array_equal(net.forward(np.ones((1, 5))), np.zeros((1, 3)))
 
     def test_scalar_tanh(self):
-        layer = DenseLayer(weights=np.array([[2.0]]), bias=np.array([0.5]))
-        out = forward(layer, np.array([1.0]), "tanh")
-        assert out[0] == pytest.approx(math.tanh(2.5), abs=1e-12)
+        net = Mlp([(np.array([[2.0]]), np.array([0.5]))], linear_output=False)
+        out = net.forward(np.array([[1.0]]))
+        assert out[0, 0] == pytest.approx(math.tanh(2.5), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        layer = DenseLayer(weights=np.ones((2, 3)), bias=np.zeros(2))
+        net = Mlp([(np.ones((2, 3)), np.zeros(2))], linear_output=True)
         with pytest.raises(ValueError, match="dim"):
-            forward(layer, np.ones(4))
-
-    def test_unknown_activation(self):
-        layer = DenseLayer(weights=np.ones((2, 3)), bias=np.zeros(2))
-        with pytest.raises(ValueError, match="activation"):
-            forward(layer, np.ones(3), "relu")
+            net.forward(np.ones((1, 4)))
 
     def test_tanh_output_bounded(self):
         # strict bound holds wherever float64 can represent it (|pre| < ~19)
         rng = np.random.default_rng(1)
-        layer = DenseLayer(weights=rng.normal(0, 1, (6, 4)), bias=rng.normal(0, 1, 6))
-        out = forward(layer, rng.normal(0, 2, (50, 4)), "tanh")
+        net = Mlp([(rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 6))], linear_output=False)
+        out = net.forward(rng.normal(0, 2, (50, 4)))
         assert np.all(np.abs(out) < 1.0)
+
+    def test_only_the_last_layer_is_linear(self):
+        rng = np.random.default_rng(6)
+        layers = random_layers([4, 3, 2], rng)
+        x = rng.normal(0, 1, (5, 4))
+        hidden = np.tanh(x @ layers[0][0].T + layers[0][1])
+        pre = hidden @ layers[1][0].T + layers[1][1]
+        assert np.array_equal(Mlp(layers, linear_output=True).forward(x), pre)
+        assert np.array_equal(Mlp(layers, linear_output=False).forward(x), np.tanh(pre))
+
+    def test_forward_cached_matches_forward(self):
+        rng = np.random.default_rng(7)
+        net = Mlp(random_layers([4, 3, 2], rng), linear_output=True)
+        x = rng.normal(0, 1, (5, 4))
+        out, acts = net.forward_cached(x)
+        assert np.array_equal(out, net.forward(x))
+        assert acts[0] is x and acts[-1] is out and len(acts) == 3
 
 
 class TestBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        for _ in range(5):
-            dims = rng.integers(2, 6, size=4)
-            acts = [str(a) for a in rng.choice(["tanh", "identity"], size=3)]
-            net = Mlp(
-                [DenseLayer.glorot(dims[i + 1], dims[i], rng) for i in range(3)],
-                acts,
-            )
+        for linear_output in (False, True) * 3:
+            dims = [int(d) for d in rng.integers(2, 6, size=4)]
+            net = Mlp(random_layers(dims, rng), linear_output)
             x = rng.normal(0, 1, (3, dims[0]))
             w = rng.normal(0, 1, (3, dims[3]))
             _, acts = net.forward_cached(x)
             grads, _ = net.backward(acts, w)
             fd = finite_difference_grads(net, x, w)
-            assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+            assert [g.shape for g in grads] == [p.shape for pair in net.layers for p in pair]
             for a, f in zip(grads, fd):
                 denom = np.maximum(1e-8, np.abs(a) + np.abs(f))
                 rel = np.abs(a - f) / denom
@@ -84,8 +97,7 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
-        net = Mlp([DenseLayer.glorot(3, 4, rng), DenseLayer.glorot(2, 3, rng)],
-                  ["tanh", "identity"])
+        net = Mlp(random_layers([4, 3, 2], rng), linear_output=True)
         _, acts = net.forward_cached(rng.normal(0, 1, (2, 4)))
         grads, dx = net.backward(acts, np.zeros((2, 2)))
         assert len(grads) == 4
@@ -96,21 +108,15 @@ class TestBackward:
     def test_linear_layer_closed_form(self):
         # L = ||Wx + b - y||^2  =>  dL/dW = 2 (Wx + b - y) x^T
         rng = np.random.default_rng(4)
-        net = Mlp([DenseLayer.glorot(3, 5, rng)], ["identity"])
-        x = rng.normal(0, 1, 5)
+        net = Mlp(random_layers([5, 3], rng), linear_output=True)
+        x = rng.normal(0, 1, (1, 5))
         y = rng.normal(0, 1, 3)
         out, acts = net.forward_cached(x)
         resid = out[0] - y
         grads, _ = net.backward(acts, 2.0 * resid[None, :])
-        expected_w = 2.0 * np.outer(resid, x)
+        expected_w = 2.0 * np.outer(resid, x[0])
         assert np.allclose(grads[0], expected_w, rtol=1e-12)
         assert np.allclose(grads[1], 2.0 * resid, rtol=1e-12)
-
-    def test_backward_without_cache_errors(self):
-        rng = np.random.default_rng(5)
-        net = Mlp([DenseLayer.glorot(3, 4, rng)], ["tanh"])
-        with pytest.raises(ValueError, match="forward"):
-            net.backward(None, np.zeros((1, 3)))
 
 
 class TestPack:

@@ -24,3 +24,23 @@ def test_traced_synth_restores_wrappers_and_counts(tmp_path):
     for (module, cls), methods in tracer.CLASS_METHODS.items():
         assert {f"{module}.{cls}.{m}" for m in methods} <= set(spans)
     assert result["counters"]["data.write_decays.rows"] == 100
+
+
+def test_traced_train_calls_the_wrapped_mlp_methods(tmp_path):
+    # the spans of the Mlp methods count only if training goes through them:
+    # each step runs the encoder and the decoder forward and backward once
+    tracer = load_tracer()
+    corpus = tmp_path / "corpus"
+    synth = tracer.run_traced(["synth", "--n", "200", "--seed", "1", "--out", str(corpus)])
+    assert synth["rc"] == 0 and synth["restored"]
+    result = tracer.run_traced(["train", "--corpus", str(corpus / "contaminated.csv"),
+                                "--batch-size", "32", "--seed", "2",
+                                "--out", str(tmp_path / "run")])
+    assert result["rc"] == 0
+    assert result["restored"]
+    steps = 200 // 32
+    assert result["counters"]["vae.train.steps"] == steps
+    spans = result["spans"]
+    assert spans["nn.Mlp.forward_cached"]["calls"] == 2 * steps
+    assert spans["nn.Mlp.backward"]["calls"] == 2 * steps
+    assert spans["nn.adam_step"]["calls"] == steps

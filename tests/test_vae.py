@@ -178,7 +178,7 @@ class TestLoss:
             loss_backward(toy_model, None)
 
     # tanh layers map inf to +-1, so they are broken with NaN
-    @pytest.mark.parametrize("layer, value, stage", [
+    @pytest.mark.parametrize("pair, value, stage", [
         (lambda m: m.encoder.layers[0], np.nan, "encoder hidden layer 1"),
         (lambda m: m.encoder.layers[1], np.nan, "encoder hidden layer 2"),
         (lambda m: m.mu_head, np.inf, "latent mean head"),
@@ -189,9 +189,9 @@ class TestLoss:
         (lambda m: m.mu_head, 1e200, "loss terms"),  # mu**2 overflows in the KL
     ], ids=["encoder-1", "encoder-2", "mu-head", "logvar-head", "sigma-overflow",
             "decoder-1", "decoder-3", "loss-terms"])
-    def test_non_finite_error_names_the_stage(self, layer, value, stage):
+    def test_non_finite_error_names_the_stage(self, pair, value, stage):
         model = VaeModel.initialize(input_dim=6, latent_dim=2, hidden=(5, 3), rng=1)
-        layer(model).bias[:] = value
+        pair(model)[1][:] = value
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NonFiniteError) as exc_info:
@@ -327,8 +327,8 @@ class TestSample:
 
 def old_pack_payload(model):
     """The per-tensor payload writer that defined the model file format."""
-    hidden = tuple(layer.out_dim for layer in model.encoder.layers)
-    dec_hidden = tuple(layer.out_dim for layer in model.decoder.layers[:-1])
+    hidden = tuple(w.shape[0] for w, _ in model.encoder.layers)
+    dec_hidden = tuple(w.shape[0] for w, _ in model.decoder.layers[:-1])
     parts = [
         struct.pack("<I", 1),
         struct.pack("<II", model.latent_dim, model.input_dim),
@@ -341,6 +341,44 @@ def old_pack_payload(model):
     for p in model.parameters():
         parts.append(p.astype("<f8").tobytes())
     return b"".join(parts)
+
+
+def old_glorot_params(input_dim, latent_dim, hidden, rng):
+    """The draw initialize made with one DenseLayer per layer: Glorot-uniform
+    (out, in) weights then zero biases, layer by layer."""
+    h1, h2 = hidden
+    parts = []
+    for out_dim, in_dim in [(h1, input_dim), (h2, h1), (latent_dim, h2),
+                            (latent_dim, h2), (h2, latent_dim), (h1, h2),
+                            (input_dim, h1)]:
+        limit = np.sqrt(6.0 / (in_dim + out_dim))
+        parts += [rng.uniform(-limit, limit, (out_dim, in_dim)).ravel(), np.zeros(out_dim)]
+    return np.concatenate(parts)
+
+
+class TestInitialize:
+    @pytest.mark.parametrize("kwargs", [
+        dict(), dict(input_dim=6, latent_dim=1, hidden=(5, 3)),
+    ], ids=["default", "hidden-5-3"])
+    def test_matches_per_layer_glorot_draw(self, kwargs):
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        model = VaeModel.initialize(**kwargs, rng=rng)
+        expected = old_glorot_params(kwargs.get("input_dim", 20),
+                                     kwargs.get("latent_dim", 2),
+                                     kwargs.get("hidden", (16, 8)), ref_rng)
+        assert np.array_equal(model.params, expected)
+        # training continues on the same stream, so it must end in one place
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dims, message", [
+        ((20, 0, (16, 8)), "latent width must be >= 1, got 0"),
+        ((0, 2, (16, 8)), "input width must be >= 1, got 0"),
+        ((20, 2, (0, 8)), "first hidden width must be >= 1, got 0"),
+        ((20, 2, (16, 0)), "second hidden width must be >= 1, got 0"),
+    ], ids=["latent", "input", "hidden-1", "hidden-2"])
+    def test_zero_width_rejected(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            VaeModel.initialize(*dims)
 
 
 def write_payload(path, payload):
@@ -380,6 +418,22 @@ class TestPersistence:
         header = MODEL_HEADER.pack(1, 2, 20, *widths, 0.0, 1.0)
         write_payload(tmp_path / "m.ipvae", header + bytes(8 * 1000))
         with pytest.raises(ModelFileError, match="architecture"):
+            load(tmp_path / "m.ipvae")
+
+    @pytest.mark.parametrize("widths, message", [
+        ((0, 20, 16, 8), "latent width must be >= 1, got 0"),
+        ((2, 0, 16, 8), "input width must be >= 1, got 0"),
+        ((2, 20, 0, 8), "first hidden width must be >= 1, got 0"),
+        ((2, 20, 16, 0), "second hidden width must be >= 1, got 0"),
+    ], ids=["latent", "input", "hidden-1", "hidden-2"])
+    def test_zero_width_rejected(self, tmp_path, widths, message):
+        # the payload is complete for the widths it declares
+        k, d, h1, h2 = widths
+        shapes = [(h1, d), (h2, h1), (k, h2), (k, h2), (h2, k), (h1, h2), (d, h1)]
+        size = sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
+        header = MODEL_HEADER.pack(1, k, d, 2, h1, h2, 2, h2, h1, 0.0, 1.0)
+        write_payload(tmp_path / "m.ipvae", header + bytes(8 * size))
+        with pytest.raises(ModelFileError, match=message):
             load(tmp_path / "m.ipvae")
 
     def test_trailing_bytes(self, toy_model, tmp_path):
