@@ -151,7 +151,7 @@ def _block_rows(model: VaeModel, n_realizations: int) -> int:
 
 def _denoise_rows(shared, rows: slice) -> None:
     """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows`` into
-    the (3, n, d) output, decoding block by block."""
+    three (n, d) outputs, decoding block by block."""
     model, mu, sigma, eps, block, out = shared
     r = eps.shape[0]
     for start in range(rows.start, rows.stop, block):
@@ -195,10 +195,13 @@ def denoise_matrix(
     eps = rng.standard_normal((n_realizations, *mu.shape))
     block = _block_rows(model, n_realizations)
     max_rows = max(block, _POOL_MIN_SAMPLES // (2 * n_realizations))
-    out = data._shared_empty((3, n, d))
+    # pool workers write into a shared mapping. A serial call takes three
+    # plain arrays, which can reuse heap memory freed after the input was
+    # read; a mapping (or one (3, n, d) array) is always fresh memory
+    pooled = data._pool_workers(n, max_rows, n * n_realizations >= _POOL_MIN_SAMPLES) > 1
+    out = data._shared_empty((3, n, d)) if pooled else [np.empty((n, d)) for _ in range(3)]
     with data._map_rows(_denoise_rows, (model, mu, sigma, eps, block, out), n, max_rows,
-                        unit=block, pooled=n * n_realizations >= _POOL_MIN_SAMPLES,
-                        ) as done:
+                        unit=block, pooled=pooled) as done:
         for _ in done:
             pass
     lo, med, hi = out

@@ -18,6 +18,7 @@ import os
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -242,35 +243,204 @@ def _fmt_num(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def _row_fields(block: np.ndarray) -> list[str]:
-    """Text of each row of one chunk of a column block."""
-    kind = block.dtype.kind
-    if kind == "b":
-        block = block.astype(np.uint8)
-    fmt = repr if kind == "f" else str
-    rows = block.tolist()
-    text = list(map(fmt, rows)) if block.ndim == 1 else [",".join(map(fmt, r)) for r in rows]
-    if kind == "f" and np.isnan(block).any():
-        # no float's repr contains "nan" except NaN's own
-        text = [t.replace("nan", "") for t in text]
-    return text
-
-
-# Rows per chunk of a table, at most, and the fewest cells (rows x columns) a
-# table must hold for its chunks to be formatted by a process pool. On 2
-# cores a pool costs 20-35 ms and breaks even near 33 000 float cells (two
-# full chunks); twice that keeps small tables, such as a loss curve, serial.
+# Rows and cells (rows x columns) per chunk of a table, at most: the cell
+# cap bounds the formatter's temporaries (about 40 bytes per cell for the
+# text slots, 8 for each of its uint64 arrays). A table of at least
+# _PARALLEL_MIN_CELLS cells is formatted by a process pool. On 2 cores, next
+# to a 100 MB parent, a pool costs about 30 ms; 20-column tables break even
+# near 2^17 cells and 63-column tables near 2^19.
 _CHUNK_ROWS = 4096
-_PARALLEL_MIN_CELLS = 65_536
+_CHUNK_CELLS = 2**15
+_PARALLEL_MIN_CELLS = 2**18
 
 
-def _chunk_text(groups: list[list[np.ndarray]], rows: slice) -> str:
-    """Text of the table rows ``rows``."""
-    fields = [
-        _row_fields(np.column_stack([b[rows] for b in g]) if len(g) > 1 else g[0][rows])
-        for g in groups
-    ]
-    return "\n".join(map(",".join, zip(*fields))) + "\n"
+# --- number text ------------------------------------------------------------
+#
+# Each table cell is laid out in a fixed slot of _SLOT bytes: an optional
+# sign and up to 16 integer digits ending at byte 15; for floats the point
+# at byte 16 and up to 19 fraction digits; then the separator. The bytes a
+# cell keeps form one run, so one boolean mask compacts a chunk's slots
+# into its text. Cells the kernel does not decide get their ``repr`` or
+# ``str``, spliced in after the compaction.
+
+_SLOT = 40
+_POINT = 16
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 10**19 < 2**64
+_MANTISSA = np.uint64(2**52 - 1)
+_HIDDEN_BIT = np.uint64(2**52)
+_LOW32 = np.uint64(2**32 - 1)
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999, one uint32 each in memory order;
+    and in row ``first * _SLOT + end``, the bytes first to end of a slot as
+    a mask. Built on first use, so importing the module costs nothing."""
+    digits = np.add(np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1), ord("0"),
+                    order="C", dtype=np.uint8)
+    at = np.arange(_SLOT)
+    keep = (at >= at[:, None, None]) & (at <= at[:, None])
+    return digits.view(np.uint32).ravel(), keep.reshape(-1, _SLOT).view(np.uint64)
+
+
+def _float_parts(x: np.ndarray):
+    """Shortest round-trip digits of the float64 values ``x`` (what ``repr``
+    prints), as ``(neg, whole, frac, f, nint, fast)``: sign, integer part,
+    the ``f`` fraction digits as the top digits of a 19-digit ``frac``, the
+    number of integer digits, and where these hold.
+
+    The kernel decides finite values with 1e-3 <= |x| < 2**52 that are not
+    a power of two, where ``repr`` uses fixed notation. Write x = m·2^-s
+    and take E = floor(log10 |x|). X = m·10^(16-E)/2^s has 17 integer
+    digits, and the values that read back as x are X ± h with
+    h = 10^(16-E)/2^(s+1). The shortest digits are the largest power 10^k
+    with a multiple in that interval; the nearest such multiple to X gives
+    them. A wrong E estimate or an exact tie between two nearest multiples
+    leaves the cell to ``repr``.
+    """
+    ax = np.abs(x)
+    fast = (ax >= 1e-3) & (ax < 2.0**52) & ((x.view(np.uint64) & _MANTISSA) != 0)
+    y = np.where(fast, ax, 1.5)
+    bits = y.view(np.uint64)
+    m = (bits & _MANTISSA) | _HIDDEN_BIT
+    s = 1075 - (bits >> 52)
+    e10 = np.clip(np.floor(np.log10(y)), -3, 15).astype(np.int64)
+    t = np.take(_POW10, 16 - e10)
+    # m·t as a 128-bit (hi, lo) pair from 32-bit limbs
+    ml, mh, tl, th = m & _LOW32, m >> 32, t & _LOW32, t >> 32
+    lo, c1, c2 = ml * tl, ml * th, mh * tl
+    cross = (lo >> 32) + (c1 & _LOW32) + (c2 & _LOW32)
+    hi = mh * th + (c1 >> 32) + (c2 >> 32) + (cross >> 32)
+    lo = (cross << 32) | (lo & _LOW32)
+    whole = (hi << (64 - s)) | (lo >> s)  # integer part of X
+    below = (np.uint64(1) << s) - 1
+    frac = lo & below  # fraction of X, in units of 2^-s
+    fast &= (whole >= _POW10[16]) & (whole < _POW10[17])
+    # smallest (a) and largest (b) integer in [X - h, X + h], h·2^s = t/2.
+    # X ± h = 10^(16-E)·(2m ± 1)/2^(s+1) is an odd number times
+    # 2^(15-E-s), and 15 - E - s < 0 for every x here: neither end is an
+    # integer, so repr's rule for the ends (kept when m is even) never applies.
+    half = t >> 1
+    hq, hr = half >> s, half & below
+    b = whole + hq + ((frac + hr) >> s)
+    a = whole - hq - (frac < hr) + 1
+    span = b - a
+    # k: the largest power of ten (<= 16) with a multiple in [a, b]
+    k = ((b - b // 10 * 10) <= span).astype(np.int64)
+    more = (b - b // 100 * 100) <= span
+    k += more
+    if more.any():
+        i = np.flatnonzero(more)
+        k.flat[i] += ((b.flat[i][:, None] % _POW10[3:17]) <= span.flat[i][:, None]).sum(axis=1)
+    # the digits: X / 10^k rounded to nearest. They never round up to a
+    # power of ten: 10^(E+1) would then read back as x, but each power of
+    # ten from 1e-2 to 1e16 is a double or rounds up to one above itself
+    scale = np.take(_POW10, k)
+    digits = whole // scale
+    rest = whole - digits * scale
+    mid = scale >> 1
+    mid_frac = (k == 0) * (np.uint64(1) << (s - 1))
+    at_mid = rest == mid
+    fast &= ~(at_mid & (frac == mid_frac))
+    digits += (rest > mid) | (at_mid & (frac > mid_frac))
+    last = k + e10 - 16  # decimal exponent of the last digit
+    down = np.take(_POW10, np.maximum(-last, 0))
+    whole = digits // down
+    frac = (digits - whole * down) * np.take(_POW10, 19 - np.maximum(-last, 1))
+    whole *= np.take(_POW10, np.maximum(last, 0))
+    nint = np.maximum(e10 + 1, 1)
+    neg = np.signbit(x)
+    fast &= nint + neg <= _POINT
+    return neg, whole, frac, np.maximum(-last, 1), nint, fast
+
+
+def _int_parts(v: np.ndarray):
+    """``(neg, whole, nint, fast)`` of integers: sign, magnitude and its
+    digit count, and where the magnitude and sign fit the slot."""
+    neg = v < 0
+    whole = v.astype(np.uint64)
+    whole = np.where(neg, 0 - whole, whole)
+    nint = np.searchsorted(_POW10[1:16], whole, side="right") + 1
+    fast = (whole < _POW10[16]) & (nint + neg <= _POINT)
+    return neg, whole, nint, fast
+
+
+def _put_digits(words: np.ndarray, value: np.ndarray, lo: int, hi: int) -> None:
+    """Write words ``lo`` to ``hi`` of the ASCII digits of ``value`` laid out
+    over all of ``words``, four to a word, the last word the lowest four."""
+    digits = _tables()[0]
+    last = words.shape[-1] - 1
+    for j in range(lo, hi):
+        scale = 10 ** (4 * (last - j))
+        group = value // scale
+        value = value - group * scale
+        # clip: a cell that is not kept may hold a larger value
+        words[..., j] = np.take(digits, group.astype(np.intp), mode="clip")
+
+
+def _chunk_text(groups: list[list[np.ndarray]], rows: slice) -> bytes:
+    """UTF-8 text of the table rows ``rows``."""
+    blocks = [np.column_stack([b[rows] for b in g]) if len(g) > 1 else g[0][rows]
+              for g in groups]
+    blocks = [b.reshape(len(b), -1) for b in blocks]
+    n = len(blocks[0])
+    width = sum(b.shape[1] for b in blocks)
+    slots = np.empty((n, width, _SLOT), np.uint8)
+    words = slots.view(np.uint32)
+    first = np.full((n, width), _POINT, np.intp)  # first kept byte of each slot
+    end = np.full((n, width), _POINT, np.intp)  # its separator
+    spliced, texts = [], []  # cells formatted one at a time, and their text
+    col = 0
+    for block in blocks:
+        cols = slice(col, col + block.shape[1])
+        kind = block.dtype.kind
+        fast, frac = np.zeros(block.shape, bool), None
+        if kind == "f" and block.itemsize <= 8:
+            neg, whole, frac, f, nint, fast = _float_parts(np.ascontiguousarray(block, np.float64))
+        elif kind in "iub":
+            neg, whole, nint, fast = _int_parts(block.astype(np.uint8) if kind == "b" else block)
+        # NaN is an empty field; every other cell the kernel leaves gets repr/str
+        slow = ~fast & ~np.isnan(block) if kind == "f" else ~fast
+        fmt = repr if kind == "f" else str
+        if fast.any():
+            w = words[:, cols]
+            # only the digit groups some cell of the block keeps
+            digits = int(np.max(nint, where=fast, initial=1))
+            _put_digits(w[..., :4], whole, 4 - -(-digits // 4), 4)
+            start = _POINT - nint - neg
+            first[:, cols][fast] = start[fast]
+            if frac is not None:
+                # 19 fraction digits in words 4 to 8; the leading zero of
+                # word 4 becomes the point
+                digits = int(np.max(f, where=fast, initial=1))
+                _put_digits(w[..., 4:9], frac, 0, -(-(digits + 1) // 4))
+                slots[:, cols, _POINT] = ord(".")
+                end[:, cols][fast] = (_POINT + 1 + f)[fast]
+            r, j = np.nonzero(fast & neg)
+            slots[r, j + col, start[r, j]] = ord("-")
+        if slow.any():
+            r, j = np.nonzero(slow)
+            spliced.append(r * width + j + col)
+            texts += map(fmt, block[r, j].tolist())
+        col = cols.stop
+    separators = np.full(width, ord(","), np.uint8)
+    separators[-1] = ord("\n")
+    slots[np.arange(n)[:, None], np.arange(width), end] = separators
+    keep = np.take(_tables()[1], first * _SLOT + end, axis=0)
+    text = slots[keep.view(bool)].tobytes()
+    if not texts:
+        return text
+    # each spliced cell kept only its separator; its text goes before it
+    cells = np.concatenate(spliced)
+    order = np.argsort(cells, kind="stable")
+    sizes = (end - first + 1).ravel()
+    at_cells = (np.cumsum(sizes) - sizes)[cells[order]].tolist()
+    pieces, prev = [], 0
+    for pos, i in zip(at_cells, order.tolist()):
+        pieces += (text[prev:pos], texts[i].encode())
+        prev = pos
+    pieces.append(text[prev:])
+    return b"".join(pieces)
 
 
 # The task function and its shared data in a pool worker. Only the workers
@@ -328,6 +498,14 @@ def _split_rows(n: int, parts: int, unit: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _pool_workers(n: int, max_rows: int, pooled: bool) -> int:
+    """How many processes :func:`_map_rows` runs on with these arguments:
+    one per usable CPU, at most one per ``max_rows`` rows, when ``pooled``
+    and a ``fork`` is safe; otherwise 1, this process alone."""
+    workers = min(_usable_cpus(), -(-n // max_rows)) if pooled else 1
+    return workers if workers > 1 and _fork_context() is not None else 1
+
+
 @contextmanager
 def _map_rows(func, shared, n: int, max_rows: int, *, unit: int = 1, pooled: bool):
     """Yield an iterator of ``func(shared, rows)`` over contiguous row ranges
@@ -343,10 +521,8 @@ def _map_rows(func, shared, n: int, max_rows: int, *, unit: int = 1, pooled: boo
     pool of one. A worker's exception is raised from the iterator, and the
     pool is torn down when the ``with`` block ends.
     """
-    workers = min(_usable_cpus(), -(-n // max_rows)) if pooled else 1
+    workers = _pool_workers(n, max_rows, pooled)
     context = _fork_context() if workers > 1 else None
-    if context is None:
-        workers = 1
     ranges = _split_rows(n, workers * -(-n // (workers * max_rows)), unit)
     if context is None:
         yield (func(shared, rows) for rows in ranges)
@@ -361,19 +537,22 @@ def write_table(path, header: str, *columns) -> None:
     blocks, each an (n,) or (n, k) array.
 
     This is the one place that sets the text of a number in an output file.
-    Floats are written in shortest round-trip form (``repr``), NaN as an
-    empty field; integers in decimal, bools as ``1``/``0``, strings as they
-    are. Rows are formatted in equal chunks of at most 4096 rows; adjacent
-    float blocks are stacked per chunk, so each row's floats take one join.
+    Floats are written in shortest round-trip form, byte for byte what
+    ``repr`` prints, and NaN as an empty field; integers in decimal, bools
+    as ``1``/``0``, strings as they are. Rows are formatted in equal chunks
+    of at most 4096 rows and 2^15 cells. Each chunk's numbers are turned
+    into text by one numpy kernel that fills one byte buffer
+    (:func:`_chunk_text`); only values outside its domain (for floats:
+    zero, |x| < 1e-3 or >= 2^52, powers of two, inf) and strings call
+    ``repr`` or ``str`` one at a time.
 
-    Chunks are formatted on every usable core: a table of more than 4096
-    rows and at least 65 536 cells (rows x columns) is formatted by a
-    ``fork`` pool of one worker process per usable CPU, in a multiple of
-    the workers' count of chunks, and the chunk texts are written in row
-    order. Smaller tables, single-CPU hosts, platforms without ``fork`` and
-    processes running other threads format serially; the bytes are the
-    same either way. An error in a worker is raised here and leaves no file
-    behind.
+    Chunks are formatted on every usable core: a table of two or more
+    chunks and at least 2^18 cells is formatted by a ``fork`` pool of one
+    worker process per usable CPU, in a multiple of the workers' count of
+    chunks, and the chunk texts are written in row order. Smaller tables,
+    single-CPU hosts, platforms without ``fork`` and processes running
+    other threads format serially; the bytes are the same either way. An
+    error in a worker is raised here and leaves no file behind.
     """
     blocks = [np.asarray(c) for c in columns]
     n = len(blocks[0])
@@ -389,10 +568,11 @@ def write_table(path, header: str, *columns) -> None:
             groups[-1].append(b)
         else:
             groups.append([b])
+    max_rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width))
     pooled = n * width >= _PARALLEL_MIN_CELLS
-    with atomic_open(path) as fh, _map_rows(_chunk_text, groups, n, _CHUNK_ROWS,
-                                            pooled=pooled) as texts:
-        fh.write(header + "\n")
+    with atomic_open(path, "wb") as fh, _map_rows(_chunk_text, groups, n, max_rows,
+                                                  pooled=pooled) as texts:
+        fh.write(f"{header}\n".encode())
         fh.writelines(texts)
 
 

@@ -180,6 +180,19 @@ def _layer_shapes(
     ]
 
 
+_LAYER_NAMES = ("encoder layer 1", "encoder layer 2", "latent mean head",
+                "latent log-variance head", "decoder layer 1", "decoder layer 2",
+                "decoder layer 3")
+
+
+def _parameter_name(shapes: list[tuple[int, int]], index: int) -> str:
+    """Which layer's weights or bias hold entry ``index`` of the vector."""
+    for name, (out_dim, in_dim) in zip(_LAYER_NAMES, shapes):
+        if index < out_dim * (in_dim + 1):
+            return f"{name} {'weights' if index < out_dim * in_dim else 'bias'}"
+        index -= out_dim * (in_dim + 1)
+
+
 def _vector_size(shapes: list[tuple[int, int]]) -> int:
     """Length of the flat vector: each layer's weights then its bias."""
     return sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
@@ -499,6 +512,11 @@ def load(
     if len(body) > size:
         raise ModelFileError(f"{path}: {len(body) - size} trailing bytes")
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise ModelFileError(
+            f"{path}: parameter {bad[0]} ({_parameter_name(shapes, bad[0])}) is not finite"
+        )
     return VaeModel(params, input_dim, latent_dim, (h1, h2), offset, scale)
 
 

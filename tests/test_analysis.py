@@ -247,6 +247,29 @@ class TestPooledDenoise:
             assert p.tobytes() == s.tobytes()
         assert multiprocessing.active_children() == []
 
+    def test_serial_call_allocates_no_shared_output(self, monkeypatch, small_model,
+                                                    small_corpus):
+        model, _ = small_model
+        values = small_corpus[1][:3000]  # 3000 x 100 samples: a pooled size
+        shared_empty, shared = data._shared_empty, []
+
+        def counted(shape):
+            shared.append(shape)
+            return shared_empty(shape)
+
+        monkeypatch.setattr(data, "_shared_empty", counted)
+        with monkeypatch.context() as m:
+            m.setattr(data, "_usable_cpus", lambda: 3)
+            pooled = denoise_matrix(model, values, 100, rng=3)
+        assert shared == [(3, 3000, values.shape[1])]
+        for force in (force_serial, lambda m: m.setattr(analysis, "_POOL_MIN_SAMPLES", 10**9)):
+            with monkeypatch.context() as m:
+                force(m)
+                serial = denoise_matrix(model, values, 100, rng=3)
+            assert len(shared) == 1
+            for s, p in zip(serial, pooled):
+                assert s.tobytes() == p.tobytes()
+
     def test_block_rows_from_model(self, small_model):
         model, _ = small_model
         # widest decoder layer 16 -> 20: 2**18 // (100 * 320) rows at R=100

@@ -189,6 +189,17 @@ class TestDenoise:
                    "--realizations", 10, "--seed", 3, "--out", tmp_path / "out") == 3
         assert_rejected_early(capsys, tmp_path / "out", f"{model}: {message}")
 
+    def test_non_finite_parameter_rejected(self, pipeline, tmp_path, capsys):
+        model = vae.VaeModel.initialize(rng=5)
+        model.params[3] = np.nan
+        path = tmp_path / "nan.ipvae"
+        vae.save(model, path)
+        assert run("denoise", "--model", path,
+                   "--input", pipeline / "synth" / "contaminated.csv",
+                   "--realizations", 10, "--seed", 3, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              f"{path}: parameter 3 (encoder layer 1 weights) is not finite")
+
     def test_threshold_changes_only_outlier_column(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"
         inp = pipeline / "synth" / "contaminated.csv"

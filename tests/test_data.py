@@ -328,6 +328,125 @@ class TestWriteTable:
         assert list(tmp_path.iterdir()) == []
 
 
+def per_value_text(*columns):
+    """Table body spelled one value at a time: ``repr`` of each float, NaN
+    empty, ``str`` of every other value, bools as 1/0."""
+    def cells(column):
+        column = np.asarray(column)
+        column = column.reshape(len(column), -1)
+        if column.dtype.kind == "b":
+            column = column.astype(np.uint8)
+        fmt = repr if column.dtype.kind == "f" else str
+        return [["" if v != v else fmt(v) for v in row] for row in column.tolist()]
+
+    rows = zip(*map(cells, columns))
+    return "".join(",".join(c for part in row for c in part) + "\n" for row in rows)
+
+
+def written_body(tmp_path, *columns):
+    names = ",".join(f"c{j}" for j in range(sum(
+        1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)))
+    write_table(tmp_path / "t.csv", names, *columns)
+    return (tmp_path / "t.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+
+
+def assert_same_text(got, want):
+    """``got == want``, reporting only the first line that differs: pytest's
+    own diff of two long tables takes minutes."""
+    if got != want:
+        got, want = got.split("\n"), want.split("\n")
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        pytest.fail(f"first difference in line {i}: {got[i:i + 1]} != {want[i:i + 1]}")
+
+
+def float_bits(sign, exponent, mantissa):
+    """float64 values from their sign, biased exponent and mantissa fields."""
+    sign, exponent, mantissa = (np.asarray(a).astype(np.uint64)
+                                for a in (sign, exponent, mantissa))
+    return ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa).view(np.float64)
+
+
+def edge_floats():
+    """Subnormals, the largest float, powers of 2 and of 10 with their
+    neighbours, the fixed-notation switches and the fast path's bounds."""
+    tiny = np.nextafter(0.0, 1.0)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                             np.array([float(f"1e{e}") for e in range(-323, 309)])])
+    powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    special = [tiny, 2 * tiny, 3 * tiny, 5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, np.finfo(float).max, 1e-3, 1e-4, 2.0**52, 2.0**53,
+               1e16, 0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, 0.2, 0.3, 1 / 3, 120.5,
+               9.999999999999999e-4, 4503599627370495.5, 4503599627370495.0, 1e15,
+               999999999999999.9, 0.001000000000000001]
+    x = np.concatenate([powers, special])
+    return np.concatenate([x, -x, np.nextafter(x, 1.0), np.nextafter(x, -1.0)])
+
+
+class TestExactText:
+    """Every number's text is byte-equal to its own repr/str, whichever
+    path of the chunk formatter it takes."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(101)
+        x = rng.integers(0, 2**64, 1_010_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        x = x[np.isfinite(x)][:10**6].reshape(-1, 8)
+        assert_same_text(written_body(tmp_path, x), per_value_text(x))
+
+    def test_random_patterns_in_fast_domain(self, tmp_path):
+        rng = np.random.default_rng(102)
+        n = 400_000
+        # biased exponents of 2**-10 to 2**51, every mantissa field
+        x = float_bits(rng.integers(0, 2, n), rng.integers(1013, 1075, n),
+                       rng.integers(0, 2**52, n, dtype=np.uint64)).reshape(-1, 4)
+        assert_same_text(written_body(tmp_path, x), per_value_text(x))
+
+    def test_short_decimals_and_mantissas(self, tmp_path):
+        rng = np.random.default_rng(103)
+        n = 200_000
+        decimals = rng.integers(-10**8, 10**8, n) / 10.0 ** rng.integers(0, 12, n)
+        mantissas = rng.integers(-2**20, 2**20, n) * 2.0 ** rng.integers(-40, 40, n)
+        rounded = np.round(rng.uniform(-1e4, 1e4, n), 3)
+        assert_same_text(written_body(tmp_path, decimals, mantissas, rounded),
+                         per_value_text(decimals, mantissas, rounded))
+
+    def test_edge_values(self, tmp_path):
+        x = edge_floats()
+        assert_same_text(written_body(tmp_path, x), per_value_text(x))
+        with np.errstate(over="ignore"):
+            x = x.astype(np.float32)
+        assert_same_text(written_body(tmp_path, x), per_value_text(x))
+
+    def test_integers(self, tmp_path):
+        i64 = np.iinfo(np.int64)
+        near = np.array([0, 1, 9, 10, 99, 10**15 - 1, 10**15, 10**16 - 1, 10**16, 10**17,
+                         i64.max, 2**53, 2**53 + 1])
+        ints = np.concatenate([near, -near, [i64.min], -np.arange(1000)])
+        rng = np.random.default_rng(104)
+        ints = np.concatenate([ints, rng.integers(i64.min, i64.max, 10_000)])
+        big = np.array([0, 1, 10**16, 2**63, 2**64 - 1], dtype=np.uint64)
+        small = np.arange(256).astype(np.uint8)
+        for column in (ints, big, small, ints.astype(np.int32), small.astype(bool)):
+            assert_same_text(written_body(tmp_path, column), per_value_text(column))
+
+    def test_mixed_row_layout(self, tmp_path):
+        n = 5000
+        columns = mixed_columns(n)
+        assert_same_text(written_body(tmp_path, *columns), per_value_text(*columns))
+
+    @pytest.mark.parametrize("cells", [1, 7, 2**15])
+    def test_bytes_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path, cells):
+        columns = (*mixed_columns(1000), edge_floats()[::9][:1000])
+        expected = per_value_text(*columns)
+        monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
+        assert_same_text(written_body(tmp_path, *columns), expected)
+
+    def test_non_ascii_and_object_cells(self, tmp_path):
+        names = np.array(["é", "ip_vae", "", "日本"])
+        objects = np.array([1.5, None, "x", 2**70], dtype=object)
+        assert written_body(tmp_path, names, objects, np.arange(4)) == (
+            "é,1.5,0\nip_vae,None,1\n,x,2\n日本,1180591620717411303424,3\n")
+
+
 def force_serial(m):
     m.setattr(data, "_usable_cpus", lambda: 1)
 

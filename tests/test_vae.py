@@ -444,8 +444,25 @@ class TestPersistence:
     def test_non_finite_parameter(self, tmp_path):
         model = VaeModel.initialize(rng=5)
         model.params[7] = np.nan
+        model.params[-1] = np.inf
+        path = tmp_path / "m.ipvae"
+        save(model, path)
+        with pytest.raises(ModelFileError) as raised:
+            load(path)
+        assert str(raised.value) == f"{path}: parameter 7 (encoder layer 1 weights) is not finite"
+
+    @pytest.mark.parametrize("index, name", [
+        (0, "encoder layer 1 weights"), (320, "encoder layer 1 bias"),
+        (336, "encoder layer 2 weights"), (472, "latent mean head weights"),
+        (490, "latent log-variance head weights"), (507, "latent log-variance head bias"),
+        (524, "decoder layer 1 bias"), (532, "decoder layer 2 weights"),
+        (1015, "decoder layer 3 bias"),
+    ])
+    def test_non_finite_parameter_names_its_layer(self, tmp_path, index, name):
+        model = VaeModel.initialize(rng=5)
+        model.params[index] = -np.inf
         save(model, tmp_path / "m.ipvae")
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ModelFileError, match=rf"parameter {index} \({name}\) is not finite"):
             load(tmp_path / "m.ipvae")
 
     def test_round_trip_bit_exact(self, small_model, tmp_path):
