@@ -2,8 +2,8 @@
 
 All three act on one decay (or a batch of decays) and preserve length and
 constant sequences. ``tune_batch`` grid-searches each filter's
-hyperparameter per decay against a reference curve, breaking ties toward
-less smoothing.
+hyperparameter per decay against a reference curve, one candidate at a
+time, breaking ties toward less smoothing.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ CUTOFF_GRID = np.linspace(0.98, 0.02, 49)
 
 def _as_rows(x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    return np.atleast_2d(x), single
+    if x.ndim not in (1, 2):
+        raise ValueError(
+            f"expected a decay (d,) or a batch of decays (n, d), got shape {x.shape}"
+        )
+    return np.atleast_2d(x), x.ndim == 1
 
 
 def moving_average(x, order: int) -> np.ndarray:
@@ -40,30 +43,24 @@ def moving_average(x, order: int) -> np.ndarray:
     return out[0] if single else out
 
 
-def _first_order_iir(rows: np.ndarray, b0, b1, a1) -> np.ndarray:
+def _first_order_iir(x, b0, b1, a1) -> np.ndarray:
     """Causal first-order recursion y[j] = b0 x[j] + b1 x[j-1] - a1 y[j-1]
-    of each row of (n, d) ``rows``, with the state seeded by the first
-    sample: y[0] = x[0]. The coefficients are (C,) vectors, one entry per
-    candidate filter; the result is window-major, (d, C, n), so one pass
-    over the windows filters every row with every candidate."""
-    x = np.ascontiguousarray(rows.T)
-    b0, b1, a1 = (np.asarray(c, dtype=np.float64)[:, None] for c in (b0, b1, a1))
-    out = np.empty((x.shape[0], len(b0), x.shape[1]))
-    out[0] = x[0]
-    term = np.empty(out.shape[1:])
-    for j in range(1, x.shape[0]):
-        np.multiply(b0, x[j], out=out[j])
-        np.multiply(b1, x[j - 1], out=term)
+    of a decay (d,) or each row of an (n, d) batch, with the state seeded by
+    the first sample: y[0] = x[0]. The coefficients are scalars or (n,)
+    vectors, one entry per row. The recursion runs window-major, one pass
+    over the windows filtering every row."""
+    rows, single = _as_rows(x)
+    xt = np.ascontiguousarray(rows.T)
+    out = np.empty_like(xt)
+    out[0] = xt[0]
+    term = np.empty(xt.shape[1])
+    for j in range(1, xt.shape[0]):
+        np.multiply(b0, xt[j], out=out[j])
+        np.multiply(b1, xt[j - 1], out=term)
         out[j] += term
         np.multiply(a1, out[j - 1], out=term)
         out[j] -= term
-    return out
-
-
-def _one_filter(x, b0: float, b1: float, a1: float) -> np.ndarray:
-    """One first-order filter applied to a decay (d,) or each row of (n, d)."""
-    rows, single = _as_rows(x)
-    out = np.ascontiguousarray(_first_order_iir(rows, [b0], [b1], [a1])[:, 0].T)
+    out = np.ascontiguousarray(out.T)
     return out[0] if single else out
 
 
@@ -72,7 +69,7 @@ def exponential_moving_average(x, alpha: float) -> np.ndarray:
     holds the first value."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return _one_filter(x, alpha, 0.0, alpha - 1.0)
+    return _first_order_iir(x, alpha, 0.0, alpha - 1.0)
 
 
 def butterworth_coeffs(cutoff: float) -> tuple[float, float, float]:
@@ -94,28 +91,7 @@ def butterworth_lowpass(x, cutoff: float) -> np.ndarray:
     been constant), so constants pass through unchanged and no start-up
     transient corrupts the short sequence.
     """
-    return _one_filter(x, *butterworth_coeffs(cutoff))
-
-
-def _grid_outputs(kind: str, rows: np.ndarray) -> tuple[list, np.ndarray]:
-    """Filter outputs for every grid candidate, candidates in preference
-    order (least smoothing first), window-major: (d, C, n)."""
-    if kind == "MA":
-        candidates = list(MA_GRID)
-        outputs = np.empty((rows.shape[1], len(candidates), rows.shape[0]))
-        for c, m in enumerate(candidates):
-            outputs[:, c] = moving_average(rows, m).T
-    elif kind == "EMA":
-        candidates = [float(a) for a in EMA_GRID]
-        outputs = _first_order_iir(
-            rows, candidates, [0.0] * len(candidates), [a - 1.0 for a in candidates]
-        )
-    elif kind == "Butterworth":
-        candidates = [float(w) for w in CUTOFF_GRID]
-        outputs = _first_order_iir(rows, *zip(*map(butterworth_coeffs, candidates)))
-    else:
-        raise ValueError(f"unknown filter kind {kind!r}")
-    return candidates, outputs
+    return _first_order_iir(x, *butterworth_coeffs(cutoff))
 
 
 def tune_batch(
@@ -127,23 +103,37 @@ def tune_batch(
     RMSE per decay against the reference). Ties go to the candidate with
     the least smoothing because candidates are evaluated in that order.
 
-    The outputs of all C candidates fill one window-major (d, C, n) array,
-    the recursive filters' in a single pass over the windows. Each
-    candidate's errors are taken on its own (n, d) copy, so no (C, n, d)
-    difference is ever held.
+    Each of the C candidates filters the whole (n, d) batch in turn and
+    keeps only its per-decay errors, so memory is O(C·n + n·d). The winners'
+    outputs are then filtered again: by the recursive filters in one more
+    pass with each decay's own coefficients, by MA once per winning order.
     """
-    noisy = np.atleast_2d(np.asarray(noisy, dtype=np.float64))
-    reference = np.atleast_2d(np.asarray(reference, dtype=np.float64))
+    noisy, _ = _as_rows(noisy)
+    reference, _ = _as_rows(reference)
     if noisy.shape != reference.shape:
         raise ValueError("noisy and reference must share shape")
-    candidates, outputs = _grid_outputs(kind, noisy)
+    if kind == "MA":
+        candidates = list(MA_GRID)
+    elif kind == "EMA":
+        candidates = [float(a) for a in EMA_GRID]
+        coeffs = np.array([(a, 0.0, a - 1.0) for a in candidates])
+    elif kind == "Butterworth":
+        candidates = [float(w) for w in CUTOFF_GRID]
+        coeffs = np.array([butterworth_coeffs(w) for w in candidates])
+    else:
+        raise ValueError(f"unknown filter kind {kind!r}")
     errors = np.empty((len(candidates), noisy.shape[0]))
-    for c in range(len(candidates)):
-        diff = outputs[:, c].T.copy()
+    for c, p in enumerate(candidates):
+        diff = moving_average(noisy, p) if kind == "MA" else _first_order_iir(noisy, *coeffs[c])
         diff -= reference
         np.square(diff, out=diff)
         np.sqrt(diff.mean(axis=1), out=errors[c])
     best = np.argmin(errors, axis=0)  # first minimum = preferred candidate
-    rows = np.arange(noisy.shape[0])
-    params = np.asarray(candidates)[best]
-    return params, outputs[:, best, rows].T, errors[best, rows]
+    if kind == "MA":
+        outputs = np.empty_like(noisy)
+        for c in np.unique(best):
+            won = best == c
+            outputs[won] = moving_average(noisy[won], candidates[c])
+    else:
+        outputs = _first_order_iir(noisy, *coeffs[best].T)
+    return np.asarray(candidates)[best], outputs, errors[best, np.arange(len(best))]

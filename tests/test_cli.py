@@ -302,6 +302,11 @@ class TestBench:
         ("--sweep-n", 0, "--sweep-n must be >= 1, got 0"),
         ("--realizations", 1, "--realizations must be >= 2, got 1"),
         ("--sigma", "nan", "--sigma must be finite"),
+        ("--sigma", "-1.1", "--sigma must be finite and >= 0, got -1.1"),
+        # argparse reads a separate "-1,0,1" as a flag; None: the flag carries its value
+        ("--sigmas=-1,0,1", None,
+         "--sigmas must be at least two distinct finite values >= 0 to fit a slope,"
+         " got '-1,0,1'"),
         ("--sigmas", "1.1", "--sigmas must be at least two distinct finite values"),
         ("--sigmas", "1,1", "--sigmas must be at least two distinct finite values"),
         ("--sigmas", "0,nan", "--sigmas must be at least two distinct finite values"),
@@ -310,7 +315,8 @@ class TestBench:
     def test_bad_flag_rejected_before_model_load(self, tmp_path, capsys, flag, value,
                                                  message):
         # the model file does not exist: loading it first would exit 5
-        assert run("bench", "--model", tmp_path / "missing.ipvae", flag, value,
+        value = () if value is None else (value,)
+        assert run("bench", "--model", tmp_path / "missing.ipvae", flag, *value,
                    "--seed", 3, "--out", tmp_path / "out") == 3
         assert_rejected_early(capsys, tmp_path / "out", message)
 

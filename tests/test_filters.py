@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,30 @@ class TestTune:
         with pytest.raises(ValueError, match="shape"):
             tune_batch("MA", self.noisy, np.ones((1, 10)))
 
+    @pytest.mark.parametrize("apply", [
+        lambda x: moving_average(x, 3),
+        lambda x: exponential_moving_average(x, 0.5),
+        lambda x: butterworth_lowpass(x, 0.3),
+        lambda x: tune_batch("EMA", x, x),
+    ])
+    @pytest.mark.parametrize("shape", [(2, 3, 20), ()])
+    def test_input_must_be_one_or_two_dimensional(self, apply, shape):
+        with pytest.raises(ValueError, match=r"expected a decay \(d,\) or a batch"):
+            apply(np.ones(shape))
+
+    @pytest.mark.parametrize("kind", ["MA", "EMA", "Butterworth"])
+    def test_memory_bounded_by_the_batch(self, kind):
+        # no candidates x decays x windows array: the peak stays a small
+        # multiple of the input however many candidates the grid holds
+        truth, noisy = synthesize_corpus(SyntheticSpec(n=5000, noise_sigma=1.1, seed=5))
+        tracemalloc.start()
+        try:
+            tune_batch(kind, noisy, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * noisy.nbytes
+
 
 def reference_iir(rows, b0, b1, a1):
     """The one-candidate recursion over the rows of an (n, d) matrix."""
@@ -186,14 +212,16 @@ def reference_tune_batch(kind, noisy, reference):
 
 
 class TestGridBits:
-    """All candidates filtered in one recursion give the bits of filtering
-    with one candidate at a time."""
+    """Tuning gives the bits of the one-candidate-at-a-time reference: the
+    same parameters, outputs and errors, with ties and NaN rows resolved by
+    the first minimum of ``argmin``."""
 
     def corpus(self):
         truth, noisy = synthesize_corpus(SyntheticSpec(n=500, noise_sigma=1.1, seed=61))
         noisy[0] = truth[0]  # zero error for the identity-most candidate
         noisy[1], truth[1] = 0.0, 1.0  # every candidate outputs 0: all tie
         noisy[2], truth[2] = 2.0, 2.0  # a constant the filters keep
+        noisy[4, 7] = np.nan  # every candidate's error is NaN
         return noisy, truth
 
     @pytest.mark.parametrize("kind", ["MA", "EMA", "Butterworth"])
@@ -207,6 +235,8 @@ class TestGridBits:
         first = {"MA": MA_GRID[0], "EMA": EMA_GRID[0], "Butterworth": CUTOFF_GRID[0]}[kind]
         assert got[0][1] == first  # a tie goes to the least smoothing
         assert got[2][1] == 1.0
+        assert got[0][4] == first  # argmin of an all-NaN column is its first entry
+        assert np.isnan(got[2][4])
 
     def test_single_candidate_filters_bit_equal(self):
         noisy, _ = self.corpus()
