@@ -8,6 +8,7 @@ uses the raw Euclidean norm of the misfit in its dynamic-range ratio.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -149,16 +150,89 @@ def _block_rows(model: VaeModel, n_realizations: int) -> int:
     return max(1, _BLOCK_MULTIPLY_ADDS // (n_realizations * widest))
 
 
+_LOW64 = 2**64 - 1
+
+
+def _state_words(state: dict) -> list[int]:
+    """The numbers of a bit generator's ``state`` dict as 64-bit words, in
+    key order: two per int (every int of a numpy bit generator's state is
+    below 2**128) and the bytes of each array; names take none."""
+    words = []
+    for value in state.values():
+        if isinstance(value, dict):
+            words += _state_words(value)
+        elif isinstance(value, np.ndarray):
+            words += value.view(np.uint64).tolist()
+        elif not isinstance(value, str):
+            words += (value & _LOW64, value >> 64)
+    return words
+
+
+def _words_state(template: dict, words) -> dict:
+    """The state dict whose :func:`_state_words` the iterator ``words``
+    yields, with the names and array types of the state ``template``."""
+    state = {}
+    for key, value in template.items():
+        if isinstance(value, dict):
+            state[key] = _words_state(value, words)
+        elif isinstance(value, np.ndarray):
+            state[key] = np.fromiter(words, np.uint64, value.nbytes // 8).view(value.dtype)
+        elif isinstance(value, str):
+            state[key] = value
+        else:
+            state[key] = next(words) | next(words) << 64
+    return state
+
+
+class _NoiseReplay:
+    """The (R, n, K) standard normals of R draws of (n, K) from a generator,
+    replayed one row range at a time without ever being held whole.
+
+    Building it walks the generator's stream once, realization by
+    realization and range by range, through one reused (rows, K) buffer,
+    saving the generator's state at the start of each (realization, range)
+    piece as one row of 64-bit words. The generator ends where one
+    ``standard_normal((R, n, K))`` call would leave it, and
+    ``Generator.standard_normal`` caches nothing between calls, so
+    consecutive draws read the same values as one. A worker forked after
+    the walk inherits the states and redraws any range's noise from them.
+    """
+
+    def __init__(self, rng: np.random.Generator, ranges: list[slice],
+                 n_realizations: int, k: int):
+        self.realizations, self.k = n_realizations, k
+        self.template = rng.bit_generator.state
+        self.generator = copy.deepcopy(rng)  # the caller's bit-generator type
+        width = len(_state_words(self.template))
+        self.states = {rows.start: np.empty((n_realizations, width), np.uint64)
+                       for rows in ranges}
+        buffer = np.empty((max((rows.stop - rows.start for rows in ranges), default=0), k))
+        for r in range(n_realizations):
+            for rows in ranges:
+                self.states[rows.start][r] = _state_words(rng.bit_generator.state)
+                rng.standard_normal(out=buffer[:rows.stop - rows.start])
+
+    def draw(self, rows: slice) -> np.ndarray:
+        """The (R, c, K) noise of the c rows ``rows``, one of the ranges."""
+        eps = np.empty((self.realizations, rows.stop - rows.start, self.k))
+        for words, noise in zip(self.states[rows.start].tolist(), eps):
+            self.generator.bit_generator.state = _words_state(self.template, iter(words))
+            self.generator.standard_normal(out=noise)
+        return eps
+
+
 def _denoise_rows(shared, rows: slice) -> None:
-    """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows`` into
-    three (n, d) outputs, decoding block by block."""
-    model, mu, sigma, eps, block, out = shared
-    r = eps.shape[0]
-    for start in range(rows.start, rows.stop, block):
-        block_rows = slice(start, min(start + block, rows.stop))
+    """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows``, one
+    of the noise ranges, into three (n, d) outputs, decoding block by
+    block."""
+    model, mu, sigma, noise, block, out = shared
+    eps = noise.draw(rows)
+    mu, sigma, out = mu[rows], sigma[rows], [q[rows] for q in out]
+    for start in range(0, len(mu), block):
+        block_rows = slice(start, start + block)
         z = mu[block_rows] + eps[:, block_rows] * sigma[block_rows]
         recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
-        recs = recs.reshape(r, -1, model.input_dim).transpose(1, 2, 0).copy()
+        recs = recs.reshape(noise.realizations, -1, model.input_dim).transpose(1, 2, 0).copy()
         recs.sort(axis=-1)
         for q, values in zip(out, sorted_quantiles(recs, (0.025, 0.5, 0.975))):
             q[block_rows] = values
@@ -175,16 +249,20 @@ def denoise_matrix(
     Returns (median, ci_low, ci_high) per-window empirical 0.5/0.025/0.975
     quantiles over ``n_realizations`` encode-sample-decode passes.
 
-    The rows are encoded and the (R, n, K) noise is drawn here, in one call,
-    which reads the same stream as R draws of (n, K). Rows are then decoded
-    in blocks sized from the model: all R samples of a block's rows pass
-    the decoder's widest layer in at most 2^18 multiply-adds (8 rows for
-    the default model at R=100), which OpenBLAS runs on the calling thread.
-    Memory is the noise draws plus the outputs, never all R·n·d
-    reconstructions. From 2^18 samples (n·R) on, the blocks are decoded on
-    every usable core by a ``fork`` pool of worker processes, each taking
-    contiguous ranges of whole blocks. Results depend neither on the block
-    size nor on the pool.
+    The rows are encoded here, whole, and cut into contiguous ranges of
+    whole decode blocks. A block's rows are sized from the model: all R
+    samples of them pass the decoder's widest layer in at most 2^18
+    multiply-adds (8 rows for the default model at R=100), which OpenBLAS
+    runs on the calling thread. A range holds at most 2^17 samples (rows
+    times R) or one block. The noise reads the stream of R draws of (n, K)
+    from ``rng``, and leaves ``rng`` where those draws would: the caller's
+    process walks it once, saving the generator state at the start of each
+    (realization, range) piece, and each range is decoded from its own
+    (R, rows, K) noise, drawn again from those states. Memory is the
+    outputs, one range's noise and one block's reconstructions; it does
+    not grow with R. From 2^18 samples (n·R) on, the ranges are decoded on
+    every usable core by a ``fork`` pool of worker processes. Results
+    depend neither on the block size nor on the pool.
     """
     if n_realizations < 2:
         raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
@@ -192,16 +270,17 @@ def denoise_matrix(
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n, d = values.shape
     mu, sigma = vae_mod.encode(model, values)
-    eps = rng.standard_normal((n_realizations, *mu.shape))
     block = _block_rows(model, n_realizations)
-    max_rows = max(block, _POOL_MIN_SAMPLES // (2 * n_realizations))
+    workers, ranges = data._plan_rows(
+        n, max(block, _POOL_MIN_SAMPLES // (2 * n_realizations)), unit=block,
+        pooled=n * n_realizations >= _POOL_MIN_SAMPLES)
+    noise = _NoiseReplay(rng, ranges, n_realizations, mu.shape[1])
     # pool workers write into a shared mapping. A serial call takes three
     # plain arrays, which can reuse heap memory freed after the input was
     # read; a mapping (or one (3, n, d) array) is always fresh memory
-    pooled = data._pool_workers(n, max_rows, n * n_realizations >= _POOL_MIN_SAMPLES) > 1
-    out = data._shared_empty((3, n, d)) if pooled else [np.empty((n, d)) for _ in range(3)]
-    with data._map_rows(_denoise_rows, (model, mu, sigma, eps, block, out), n, max_rows,
-                        unit=block, pooled=pooled) as done:
+    out = data._shared_empty((3, n, d)) if workers > 1 else [np.empty((n, d)) for _ in range(3)]
+    with data._map_rows(_denoise_rows, (model, mu, sigma, noise, block, out),
+                        workers, ranges) as done:
         for _ in done:
             pass
     lo, med, hi = out

@@ -385,13 +385,24 @@ def _chunk_text(groups: list[list[np.ndarray]], rows: slice) -> bytes:
     blocks = [b.reshape(len(b), -1) for b in blocks]
     n = len(blocks[0])
     width = sum(b.shape[1] for b in blocks)
+    # (first column, cells) of each run of columns to format. A float
+    # column that is all NaN in this chunk is left out: its fields are
+    # empty, which is what a slot holds when no cell of it is kept
+    runs, col = [], 0
+    for b in blocks:
+        if b.dtype.kind == "f":
+            live = np.concatenate([[False], ~np.isnan(b).all(axis=0), [False]])
+            bounds = np.flatnonzero(live[1:] != live[:-1]).reshape(-1, 2).tolist()
+            runs += [(col + a, b[:, a:z]) for a, z in bounds]
+        else:
+            runs.append((col, b))
+        col += b.shape[1]
     slots = np.empty((n, width, _SLOT), np.uint8)
     words = slots.view(np.uint32)
     first = np.full((n, width), _POINT, np.intp)  # first kept byte of each slot
     end = np.full((n, width), _POINT, np.intp)  # its separator
     spliced, texts = [], []  # cells formatted one at a time, and their text
-    col = 0
-    for block in blocks:
+    for col, block in runs:
         cols = slice(col, col + block.shape[1])
         kind = block.dtype.kind
         fast, frac = np.zeros(block.shape, bool), None
@@ -422,7 +433,6 @@ def _chunk_text(groups: list[list[np.ndarray]], rows: slice) -> bytes:
             r, j = np.nonzero(slow)
             spliced.append(r * width + j + col)
             texts += map(fmt, block[r, j].tolist())
-        col = cols.stop
     separators = np.full(width, ord(","), np.uint8)
     separators[-1] = ord("\n")
     slots[np.arange(n)[:, None], np.arange(width), end] = separators
@@ -498,32 +508,34 @@ def _split_rows(n: int, parts: int, unit: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _pool_workers(n: int, max_rows: int, pooled: bool) -> int:
-    """How many processes :func:`_map_rows` runs on with these arguments:
-    one per usable CPU, at most one per ``max_rows`` rows, when ``pooled``
-    and a ``fork`` is safe; otherwise 1, this process alone."""
+def _plan_rows(n: int, max_rows: int, *, unit: int = 1, pooled: bool) -> tuple[int, list[slice]]:
+    """How :func:`_map_rows` covers rows 0 to n: ``(workers, ranges)``.
+
+    ``workers`` is one per usable CPU, at most one per ``max_rows`` rows,
+    when ``pooled`` and a ``fork`` is safe; otherwise 1, this process alone.
+    The contiguous ``ranges`` are as equal as whole ``unit``-row blocks
+    allow, hold at most about ``max_rows`` rows each, and number a multiple
+    of the workers so they finish together.
+    """
     workers = min(_usable_cpus(), -(-n // max_rows)) if pooled else 1
-    return workers if workers > 1 and _fork_context() is not None else 1
+    if workers < 2 or _fork_context() is None:
+        workers = 1
+    return workers, _split_rows(n, workers * -(-n // (workers * max_rows)), unit)
 
 
 @contextmanager
-def _map_rows(func, shared, n: int, max_rows: int, *, unit: int = 1, pooled: bool):
-    """Yield an iterator of ``func(shared, rows)`` over contiguous row ranges
-    ``rows`` that cover rows 0 to n, in row order.
+def _map_rows(func, shared, workers: int, ranges: list[slice]):
+    """Yield an iterator of ``func(shared, rows)`` over the row ranges
+    ``ranges``, in order, as planned by :func:`_plan_rows`.
 
-    The ranges are as equal as whole ``unit``-row blocks allow and hold at
-    most about ``max_rows`` rows each. When ``pooled`` and a ``fork`` is safe,
-    ``func`` runs in a pool of one worker process per usable CPU, at most
-    one per ``max_rows`` rows; the workers inherit ``func`` and ``shared``
-    through ``fork`` and only the ranges and results are pickled, and the
-    number of ranges is a multiple of the workers so they finish together.
-    Otherwise ``func`` runs lazily in this process, on the same ranges as a
-    pool of one. A worker's exception is raised from the iterator, and the
-    pool is torn down when the ``with`` block ends.
+    With two or more ``workers`` and a ``fork`` still safe, ``func`` runs in
+    a pool of that many worker processes; the workers inherit ``func`` and
+    ``shared`` through ``fork`` and only the ranges and results are
+    pickled. Otherwise ``func`` runs lazily in this process, on the same
+    ranges. A worker's exception is raised from the iterator, and the pool
+    is torn down when the ``with`` block ends.
     """
-    workers = _pool_workers(n, max_rows, pooled)
     context = _fork_context() if workers > 1 else None
-    ranges = _split_rows(n, workers * -(-n // (workers * max_rows)), unit)
     if context is None:
         yield (func(shared, rows) for rows in ranges)
         return
@@ -569,9 +581,8 @@ def write_table(path, header: str, *columns) -> None:
         else:
             groups.append([b])
     max_rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width))
-    pooled = n * width >= _PARALLEL_MIN_CELLS
-    with atomic_open(path, "wb") as fh, _map_rows(_chunk_text, groups, n, max_rows,
-                                                  pooled=pooled) as texts:
+    plan = _plan_rows(n, max_rows, pooled=n * width >= _PARALLEL_MIN_CELLS)
+    with atomic_open(path, "wb") as fh, _map_rows(_chunk_text, groups, *plan) as texts:
         fh.write(f"{header}\n".encode())
         fh.writelines(texts)
 

@@ -43,14 +43,12 @@ def moving_average(x, order: int) -> np.ndarray:
     return out[0] if single else out
 
 
-def _first_order_iir(x, b0, b1, a1) -> np.ndarray:
+def _recursion(xt: np.ndarray, b0, b1, a1) -> np.ndarray:
     """Causal first-order recursion y[j] = b0 x[j] + b1 x[j-1] - a1 y[j-1]
-    of a decay (d,) or each row of an (n, d) batch, with the state seeded by
-    the first sample: y[0] = x[0]. The coefficients are scalars or (n,)
-    vectors, one entry per row. The recursion runs window-major, one pass
-    over the windows filtering every row."""
-    rows, single = _as_rows(x)
-    xt = np.ascontiguousarray(rows.T)
+    down each column of a window-major (d, n) batch, with the state seeded
+    by the first sample: y[0] = x[0]. The coefficients are scalars or (n,)
+    vectors, one entry per column. Returns the window-major (d, n) output,
+    one pass over the windows filtering every decay."""
     out = np.empty_like(xt)
     out[0] = xt[0]
     term = np.empty(xt.shape[1])
@@ -60,7 +58,14 @@ def _first_order_iir(x, b0, b1, a1) -> np.ndarray:
         out[j] += term
         np.multiply(a1, out[j - 1], out=term)
         out[j] -= term
-    out = np.ascontiguousarray(out.T)
+    return out
+
+
+def _first_order_iir(x, b0, b1, a1) -> np.ndarray:
+    """:func:`_recursion` of a decay (d,) or each row of an (n, d) batch,
+    with scalar or per-row (n,) coefficients."""
+    rows, single = _as_rows(x)
+    out = np.ascontiguousarray(_recursion(np.ascontiguousarray(rows.T), b0, b1, a1).T)
     return out[0] if single else out
 
 
@@ -103,10 +108,14 @@ def tune_batch(
     RMSE per decay against the reference). Ties go to the candidate with
     the least smoothing because candidates are evaluated in that order.
 
-    Each of the C candidates filters the whole (n, d) batch in turn and
-    keeps only its per-decay errors, so memory is O(C·n + n·d). The winners'
-    outputs are then filtered again: by the recursive filters in one more
-    pass with each decay's own coefficients, by MA once per winning order.
+    Each of the C candidates filters the whole (n, d) batch in turn. Only
+    each decay's best error so far and its candidate are kept: as
+    ``argmin`` over all C errors would, the first minimum wins, or the
+    first NaN where a decay has one. Memory is O(n·d). The recursive
+    filters read one window-major copy of the batch, made once per call.
+    The winners' outputs are then filtered again: by the recursive filters
+    in one more pass with each decay's own coefficients, by MA once per
+    winning order.
     """
     noisy, _ = _as_rows(noisy)
     reference, _ = _as_rows(reference)
@@ -122,18 +131,24 @@ def tune_batch(
         coeffs = np.array([butterworth_coeffs(w) for w in candidates])
     else:
         raise ValueError(f"unknown filter kind {kind!r}")
-    errors = np.empty((len(candidates), noisy.shape[0]))
+    xt = None if kind == "MA" else np.ascontiguousarray(noisy.T)
+    best, best_errors = np.zeros(len(noisy), np.intp), np.full(len(noisy), np.inf)
     for c, p in enumerate(candidates):
-        diff = moving_average(noisy, p) if kind == "MA" else _first_order_iir(noisy, *coeffs[c])
+        if kind == "MA":
+            diff = moving_average(noisy, p)
+        else:
+            diff = np.ascontiguousarray(_recursion(xt, *coeffs[c]).T)
         diff -= reference
         np.square(diff, out=diff)
-        np.sqrt(diff.mean(axis=1), out=errors[c])
-    best = np.argmin(errors, axis=0)  # first minimum = preferred candidate
+        errors = np.sqrt(diff.mean(axis=1))
+        better = (errors < best_errors) | (np.isnan(errors) & ~np.isnan(best_errors))
+        best[better] = c
+        best_errors[better] = errors[better]
     if kind == "MA":
         outputs = np.empty_like(noisy)
         for c in np.unique(best):
             won = best == c
             outputs[won] = moving_average(noisy[won], candidates[c])
     else:
-        outputs = _first_order_iir(noisy, *coeffs[best].T)
-    return np.asarray(candidates)[best], outputs, errors[best, np.arange(len(best))]
+        outputs = np.ascontiguousarray(_recursion(xt, *coeffs[best].T).T)
+    return np.asarray(candidates)[best], outputs, best_errors

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -167,6 +168,13 @@ def unblocked_denoise_matrix(model, values, n_realizations, rng):
     return med, lo, hi
 
 
+def same_state(a, b):
+    """Whether two bit generator states are equal, arrays element by element."""
+    return a.keys() == b.keys() and all(
+        same_state(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k])
+        for k in a)
+
+
 class TestBlockedDenoise:
     @pytest.mark.parametrize("realizations", [2, 3, 100])
     @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "1000"])
@@ -191,6 +199,46 @@ class TestBlockedDenoise:
                 assert g.tobytes() == e.tobytes()
 
 
+    def test_zero_rows(self, small_model):
+        model, _ = small_model
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        for got in denoise_matrix(model, np.empty((0, model.input_dim)), 100, rng):
+            assert got.shape == (0, model.input_dim)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("force", ["serial", "pool"])
+    @pytest.mark.parametrize("kind", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators(self, monkeypatch, small_model, small_corpus, kind, force):
+        model, _ = small_model
+        values = small_corpus[1][:1000]
+        old_rng, new_rng = (np.random.Generator(kind(17)) for _ in range(2))
+        expected = unblocked_denoise_matrix(model, values, 100, old_rng)
+        with monkeypatch.context() as m:
+            force_serial(m) if force == "serial" else force_pool(m, block_ranges=True)
+            got = denoise_matrix(model, values, 100, new_rng)
+        assert type(new_rng.bit_generator) is kind
+        assert same_state(new_rng.bit_generator.state, old_rng.bit_generator.state)
+        for e, g in zip(expected, got):
+            assert g.tobytes() == e.tobytes()
+
+    def test_memory_does_not_grow_with_realizations(self, monkeypatch, small_model,
+                                                    small_corpus):
+        model, _ = small_model
+        values = small_corpus[1][:2000]
+        force_serial(monkeypatch)
+        peaks = []
+        for realizations in (100, 400):
+            tracemalloc.start()
+            try:
+                denoise_matrix(model, values, realizations, rng=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the (R, n, K) noise of R=400 would hold 9.6 MB more than R=100's
+        assert peaks[1] - peaks[0] < 2 * 2**20
+
+
 def force_serial(m):
     m.setattr(data, "_usable_cpus", lambda: 1)
 
@@ -205,8 +253,8 @@ def force_pool(m, block_ranges):
     threshold = 0 if block_ranges else analysis._POOL_MIN_SAMPLES
 
     def in_worker(shared, rows):
-        _, mu, _, eps, block, _ = shared
-        if os.getpid() == parent and len(mu) > block and eps.shape[0] * len(mu) >= threshold:
+        _, mu, _, noise, block, _ = shared
+        if os.getpid() == parent and len(mu) > block and noise.realizations * len(mu) >= threshold:
             raise AssertionError("blocks decoded outside the pool")
         return denoise_rows(shared, rows)
 
@@ -269,6 +317,27 @@ class TestPooledDenoise:
             assert len(shared) == 1
             for s, p in zip(serial, pooled):
                 assert s.tobytes() == p.tobytes()
+
+    def test_fork_unsafe_after_planning(self, monkeypatch, small_model, small_corpus):
+        """The ranges and their noise states are planned for a pool. When a
+        fork turns unsafe before the pool starts, the same ranges are
+        decoded in this process, with the same bits."""
+        model, _ = small_model
+        values = small_corpus[1][:3000]
+        fork_context, calls = data._fork_context, []
+
+        def safe_once():
+            calls.append(None)
+            return fork_context() if len(calls) == 1 else None
+
+        with monkeypatch.context() as m:
+            m.setattr(data, "_usable_cpus", lambda: 3)
+            m.setattr(data, "_fork_context", safe_once)
+            got = denoise_matrix(model, values, 100, rng=3)
+        assert len(calls) == 2
+        expected = denoise_matrix(model, values, 100, rng=3)
+        for e, g in zip(expected, got):
+            assert g.tobytes() == e.tobytes()
 
     def test_block_rows_from_model(self, small_model):
         model, _ = small_model

@@ -440,6 +440,18 @@ class TestExactText:
         monkeypatch.setattr(data, "_CHUNK_CELLS", cells)
         assert_same_text(written_body(tmp_path, *columns), expected)
 
+    def test_empty_float_columns(self, monkeypatch, tmp_path):
+        # float columns empty throughout or in some chunks only, at the
+        # start, middle and end of a float block, and a block all empty
+        n = 3000
+        x = np.random.default_rng(105).normal(size=(n, 7))
+        x[:, [0, 3, 6]] = np.nan
+        x[:1000, 1] = np.nan
+        x[2000:, 5] = np.nan
+        columns = (np.arange(n), x[:, 0], x[:, 1:], np.arange(n), np.full(n, np.nan))
+        monkeypatch.setattr(data, "_CHUNK_CELLS", 10 * 1000)  # 1000-row chunks
+        assert_same_text(written_body(tmp_path, *columns), per_value_text(*columns))
+
     def test_non_ascii_and_object_cells(self, tmp_path):
         names = np.array(["é", "ip_vae", "", "日本"])
         objects = np.array([1.5, None, "x", 2**70], dtype=object)
@@ -583,13 +595,14 @@ class TestRowRanges:
     ])
     def test_pooled_table_in_equal_ranges(self, monkeypatch, n, cpus, sizes):
         monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-        with data._map_rows(range_rows, None, n, data._CHUNK_ROWS, pooled=True) as results:
+        plan = data._plan_rows(n, data._CHUNK_ROWS, pooled=True)
+        with data._map_rows(range_rows, None, *plan) as results:
             assert list(results) == sizes
         assert multiprocessing.active_children() == []
 
     def test_serial_table_in_equal_ranges(self):
-        with data._map_rows(range_rows, None, 4097, data._CHUNK_ROWS,
-                            pooled=False) as results:
+        plan = data._plan_rows(4097, data._CHUNK_ROWS, pooled=False)
+        with data._map_rows(range_rows, None, *plan) as results:
             assert list(results) == [2048, 2049]
 
 
