@@ -104,9 +104,10 @@ def peak_snr(x, x_prime):
 
 
 def check_threshold(threshold: float) -> None:
-    """Reject a non-finite outlier threshold."""
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    """Reject a non-finite or negative outlier threshold: RMSE is >= 0, so a
+    negative one would flag every decay."""
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
 
 
 def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
@@ -150,89 +151,22 @@ def _block_rows(model: VaeModel, n_realizations: int) -> int:
     return max(1, _BLOCK_MULTIPLY_ADDS // (n_realizations * widest))
 
 
-_LOW64 = 2**64 - 1
-
-
-def _state_words(state: dict) -> list[int]:
-    """The numbers of a bit generator's ``state`` dict as 64-bit words, in
-    key order: two per int (every int of a numpy bit generator's state is
-    below 2**128) and the bytes of each array; names take none."""
-    words = []
-    for value in state.values():
-        if isinstance(value, dict):
-            words += _state_words(value)
-        elif isinstance(value, np.ndarray):
-            words += value.view(np.uint64).tolist()
-        elif not isinstance(value, str):
-            words += (value & _LOW64, value >> 64)
-    return words
-
-
-def _words_state(template: dict, words) -> dict:
-    """The state dict whose :func:`_state_words` the iterator ``words``
-    yields, with the names and array types of the state ``template``."""
-    state = {}
-    for key, value in template.items():
-        if isinstance(value, dict):
-            state[key] = _words_state(value, words)
-        elif isinstance(value, np.ndarray):
-            state[key] = np.fromiter(words, np.uint64, value.nbytes // 8).view(value.dtype)
-        elif isinstance(value, str):
-            state[key] = value
-        else:
-            state[key] = next(words) | next(words) << 64
-    return state
-
-
-class _NoiseReplay:
-    """The (R, n, K) standard normals of R draws of (n, K) from a generator,
-    replayed one row range at a time without ever being held whole.
-
-    Building it walks the generator's stream once, realization by
-    realization and range by range, through one reused (rows, K) buffer,
-    saving the generator's state at the start of each (realization, range)
-    piece as one row of 64-bit words. The generator ends where one
-    ``standard_normal((R, n, K))`` call would leave it, and
-    ``Generator.standard_normal`` caches nothing between calls, so
-    consecutive draws read the same values as one. A worker forked after
-    the walk inherits the states and redraws any range's noise from them.
-    """
-
-    def __init__(self, rng: np.random.Generator, ranges: list[slice],
-                 n_realizations: int, k: int):
-        self.realizations, self.k = n_realizations, k
-        self.template = rng.bit_generator.state
-        self.generator = copy.deepcopy(rng)  # the caller's bit-generator type
-        width = len(_state_words(self.template))
-        self.states = {rows.start: np.empty((n_realizations, width), np.uint64)
-                       for rows in ranges}
-        buffer = np.empty((max((rows.stop - rows.start for rows in ranges), default=0), k))
-        for r in range(n_realizations):
-            for rows in ranges:
-                self.states[rows.start][r] = _state_words(rng.bit_generator.state)
-                rng.standard_normal(out=buffer[:rows.stop - rows.start])
-
-    def draw(self, rows: slice) -> np.ndarray:
-        """The (R, c, K) noise of the c rows ``rows``, one of the ranges."""
-        eps = np.empty((self.realizations, rows.stop - rows.start, self.k))
-        for words, noise in zip(self.states[rows.start].tolist(), eps):
-            self.generator.bit_generator.state = _words_state(self.template, iter(words))
-            self.generator.standard_normal(out=noise)
-        return eps
-
-
 def _denoise_rows(shared, rows: slice) -> None:
     """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows``, one
     of the noise ranges, into three (n, d) outputs, decoding block by
-    block."""
-    model, mu, sigma, noise, block, out = shared
-    eps = noise.draw(rows)
-    mu, sigma, out = mu[rows], sigma[rows], [q[rows] for q in out]
+    block. The range's (rows, R, K) noise is the next draw from the
+    generator, or, where ``states`` holds the range's start, the draw from
+    that saved state."""
+    model, mu, sigma, realizations, rng, states, block, out = shared
+    if states:
+        rng.bit_generator.state = states[rows.start]
+    eps = rng.standard_normal((rows.stop - rows.start, realizations, mu.shape[1]))
+    mu, sigma, out = mu[rows, None], sigma[rows, None], [q[rows] for q in out]
     for start in range(0, len(mu), block):
         block_rows = slice(start, start + block)
-        z = mu[block_rows] + eps[:, block_rows] * sigma[block_rows]
+        z = mu[block_rows] + eps[block_rows] * sigma[block_rows]
         recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
-        recs = recs.reshape(noise.realizations, -1, model.input_dim).transpose(1, 2, 0).copy()
+        recs = recs.reshape(-1, realizations, model.input_dim).transpose(0, 2, 1).copy()
         recs.sort(axis=-1)
         for q, values in zip(out, sorted_quantiles(recs, (0.025, 0.5, 0.975))):
             q[block_rows] = values
@@ -254,15 +188,18 @@ def denoise_matrix(
     samples of them pass the decoder's widest layer in at most 2^18
     multiply-adds (8 rows for the default model at R=100), which OpenBLAS
     runs on the calling thread. A range holds at most 2^17 samples (rows
-    times R) or one block. The noise reads the stream of R draws of (n, K)
-    from ``rng``, and leaves ``rng`` where those draws would: the caller's
-    process walks it once, saving the generator state at the start of each
-    (realization, range) piece, and each range is decoded from its own
-    (R, rows, K) noise, drawn again from those states. Memory is the
-    outputs, one range's noise and one block's reconstructions; it does
-    not grow with R. From 2^18 samples (n·R) on, the ranges are decoded on
-    every usable core by a ``fork`` pool of worker processes. Results
-    depend neither on the block size nor on the pool.
+    times R) or one block. The noise is one ``(n, R, K)`` standard-normal
+    draw from ``rng``, row-major, so each range's noise is one contiguous
+    piece of the stream and the first m rows of a call get the noise of a
+    call on those m rows alone. It is drawn one range at a time as the range
+    is decoded, so memory is the outputs, one range's noise and one block's
+    reconstructions; it does not grow with R. From 2^18 samples (n·R) on,
+    the ranges are decoded on every usable core by a ``fork`` pool of worker
+    processes: the caller's process first walks the stream once, saving the
+    generator state at the start of each range, and each worker draws its
+    range from that state in a copy of ``rng``. Either way ``rng`` ends
+    where the one ``(n, R, K)`` draw would leave it, and results depend
+    neither on the block size nor on the pool.
     """
     if n_realizations < 2:
         raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
@@ -274,12 +211,25 @@ def denoise_matrix(
     workers, ranges = data._plan_rows(
         n, max(block, _POOL_MIN_SAMPLES // (2 * n_realizations)), unit=block,
         pooled=n * n_realizations >= _POOL_MIN_SAMPLES)
-    noise = _NoiseReplay(rng, ranges, n_realizations, mu.shape[1])
+    states = {}
+    if workers > 1:
+        # Generator.standard_normal caches nothing between calls, so drawing
+        # range by range reads the same stream as one (n, R, K) draw
+        per_row = n_realizations * mu.shape[1]
+        buffer = np.empty(max(rows.stop - rows.start for rows in ranges) * per_row)
+        for rows in ranges:
+            states[rows.start] = rng.bit_generator.state
+            rng.standard_normal(out=buffer[:(rows.stop - rows.start) * per_row])
+        del buffer
+        # the ranges set the state of a copy, so the caller's generator
+        # stays where the walk left it
+        rng = copy.deepcopy(rng)
     # pool workers write into a shared mapping. A serial call takes three
     # plain arrays, which can reuse heap memory freed after the input was
     # read; a mapping (or one (3, n, d) array) is always fresh memory
     out = data._shared_empty((3, n, d)) if workers > 1 else [np.empty((n, d)) for _ in range(3)]
-    with data._map_rows(_denoise_rows, (model, mu, sigma, noise, block, out),
+    with data._map_rows(_denoise_rows,
+                        (model, mu, sigma, n_realizations, rng, states, block, out),
                         workers, ranges) as done:
         for _ in done:
             pass

@@ -267,6 +267,7 @@ def cmd_sweep(args) -> int:
     ks = _parse_ks(args.ks)
     for k in ks:
         replace(config, latent_dim=k)  # validates each width before any I/O
+    _require(len(set(ks)) == len(ks), "--ks", "distinct widths", args.ks)
     _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
     corpus = data_mod.read_decays(args.corpus)
     rows, models = analysis.latent_sweep(

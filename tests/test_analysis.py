@@ -156,14 +156,15 @@ class TestDenoise:
 
 
 def unblocked_denoise_matrix(model, values, n_realizations, rng):
-    """The pre-blocking denoise_matrix: R separate decodes of all n rows,
-    all R·n·d reconstructions held, then np.quantile over them."""
+    """The pre-blocking denoise_matrix: one (n, R, K) noise draw, R separate
+    decodes of all n rows, all R·n·d reconstructions held, then np.quantile
+    over them."""
     rng = np.random.default_rng(rng)
     mu, sigma = vae_mod.encode(model, values)
+    eps = rng.standard_normal((values.shape[0], n_realizations, mu.shape[1]))
     recs = np.empty((n_realizations, values.shape[0], values.shape[1]))
     for r in range(n_realizations):
-        z = mu + rng.standard_normal(mu.shape) * sigma
-        recs[r] = vae_mod.decode(model, z)
+        recs[r] = vae_mod.decode(model, mu + eps[:, r] * sigma)
     lo, med, hi = np.quantile(recs, (0.025, 0.5, 0.975), axis=0)
     return med, lo, hi
 
@@ -235,7 +236,7 @@ class TestBlockedDenoise:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the (R, n, K) noise of R=400 would hold 9.6 MB more than R=100's
+        # the whole (n, R, K) noise of R=400 would hold 9.6 MB more than R=100's
         assert peaks[1] - peaks[0] < 2 * 2**20
 
 
@@ -253,8 +254,8 @@ def force_pool(m, block_ranges):
     threshold = 0 if block_ranges else analysis._POOL_MIN_SAMPLES
 
     def in_worker(shared, rows):
-        _, mu, _, noise, block, _ = shared
-        if os.getpid() == parent and len(mu) > block and noise.realizations * len(mu) >= threshold:
+        _, mu, _, realizations, _, _, block, _ = shared
+        if os.getpid() == parent and len(mu) > block and realizations * len(mu) >= threshold:
             raise AssertionError("blocks decoded outside the pool")
         return denoise_rows(shared, rows)
 
@@ -294,6 +295,22 @@ class TestPooledDenoise:
             assert s.shape == (n, decays.shape[1])
             assert p.tobytes() == s.tobytes()
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("rows", ["2", "b-1", "1000"])
+    def test_prefix_rows_get_the_same_bits(self, monkeypatch, small_model, small_corpus,
+                                           rows):
+        """Each row's noise is its own contiguous piece of the stream, so the
+        first m rows of a pooled 20k call equal a call on those m rows. One
+        row is left out: a one-row encode goes through gemv."""
+        model, _ = small_model
+        values = small_corpus[1]
+        assert len(values) == 20_000
+        m = {"2": 2, "b-1": analysis._block_rows(model, 100) - 1, "1000": 1000}[rows]
+        with monkeypatch.context() as mp:
+            force_pool(mp, block_ranges=False)
+            whole = denoise_matrix(model, values, 100, rng=11)
+        for w, p in zip(whole, denoise_matrix(model, values[:m], 100, rng=11)):
+            assert w[:m].tobytes() == p.tobytes()
 
     def test_serial_call_allocates_no_shared_output(self, monkeypatch, small_model,
                                                     small_corpus):

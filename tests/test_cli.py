@@ -250,11 +250,13 @@ class TestDenoise:
         assert lines[1:] == [",".join(map(old_fmt, row)) + "\n" for row in rows]
 
     def test_threshold_checked_before_reading(self, tmp_path, capsys):
-        assert run("denoise", "--model", tmp_path / "missing.ipvae",
-                   "--input", tmp_path / "missing.csv", "--threshold", "nan",
-                   "--seed", 3, "--out", tmp_path / "out") == 3
-        assert capsys.readouterr().err.startswith("error: threshold must be finite")
-        assert not (tmp_path / "out").exists()
+        # RMSE is >= 0, so a negative threshold would flag every decay
+        for threshold in ("nan", "-1"):
+            assert run("denoise", "--model", tmp_path / "missing.ipvae",
+                       "--input", tmp_path / "missing.csv", "--threshold", threshold,
+                       "--seed", 3, "--out", tmp_path / "out") == 3
+            assert_rejected_early(capsys, tmp_path / "out",
+                                  f"threshold must be finite and >= 0, got {float(threshold)}")
 
     def test_realizations_checked_before_reading(self, tmp_path, capsys):
         assert run("denoise", "--model", tmp_path / "missing.ipvae",
@@ -345,6 +347,7 @@ class TestSweep:
     @pytest.mark.parametrize("flag, value, message", [
         ("--ks", "0", "latent_dim must be >= 1, got 0"),
         ("--ks", "1,-2", "latent_dim must be >= 1, got -2"),
+        ("--ks", "2,2", "--ks must be distinct widths, got 2,2"),
         ("--realizations", 1, "--realizations must be >= 2, got 1"),
     ])
     def test_bad_flag_rejected_before_reading(self, tmp_path, capsys, flag, value,
