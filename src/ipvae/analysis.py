@@ -8,7 +8,6 @@ uses the raw Euclidean norm of the misfit in its dynamic-range ratio.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -142,6 +141,10 @@ _BLOCK_MULTIPLY_ADDS = 2**18
 # process pool; bench's 2k-row sweep calls at R=100 stay below it. A range
 # of a pool holds at most half of it, so a pooled call has two or more.
 _POOL_MIN_SAMPLES = 2**18
+# Rows per noise group: group g holds rows 256g to 256g+255 and draws their
+# noise from its own stream, so a row's noise depends on neither the pool
+# nor how many rows follow it.
+_NOISE_ROWS = 256
 
 
 def _block_rows(model: VaeModel, n_realizations: int) -> int:
@@ -152,24 +155,23 @@ def _block_rows(model: VaeModel, n_realizations: int) -> int:
 
 
 def _denoise_rows(shared, rows: slice) -> None:
-    """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows``, one
-    of the noise ranges, into three (n, d) outputs, decoding block by
-    block. The range's (rows, R, K) noise is the next draw from the
-    generator, or, where ``states`` holds the range's start, the draw from
-    that saved state."""
-    model, mu, sigma, realizations, rng, states, block, out = shared
-    if states:
-        rng.bit_generator.state = states[rows.start]
-    eps = rng.standard_normal((rows.stop - rows.start, realizations, mu.shape[1]))
-    mu, sigma, out = mu[rows, None], sigma[rows, None], [q[rows] for q in out]
-    for start in range(0, len(mu), block):
-        block_rows = slice(start, start + block)
-        z = mu[block_rows] + eps[block_rows] * sigma[block_rows]
-        recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
-        recs = recs.reshape(-1, realizations, model.input_dim).transpose(0, 2, 1).copy()
-        recs.sort(axis=-1)
-        for q, values in zip(out, sorted_quantiles(recs, (0.025, 0.5, 0.975))):
-            q[block_rows] = values
+    """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows``, whole
+    noise groups, into three (n, d) outputs, decoding block by block with
+    the blocks cut at group ends."""
+    model, mu, sigma, realizations, root, block, out = shared
+    for first in range(rows.start, rows.stop, _NOISE_ROWS):
+        group = np.random.SeedSequence(root, spawn_key=(first // _NOISE_ROWS,))
+        rng = np.random.default_rng(group)
+        last = min(first + _NOISE_ROWS, rows.stop)
+        for start in range(first, last, block):
+            block_rows = slice(start, min(start + block, last))
+            eps = rng.standard_normal((block_rows.stop - start, realizations, mu.shape[1]))
+            z = mu[block_rows, None] + eps * sigma[block_rows, None]
+            recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
+            recs = recs.reshape(-1, realizations, model.input_dim).transpose(0, 2, 1).copy()
+            recs.sort(axis=-1)
+            for q, values in zip(out, sorted_quantiles(recs, (0.025, 0.5, 0.975))):
+                q[block_rows] = values
 
 
 def denoise_matrix(
@@ -183,53 +185,39 @@ def denoise_matrix(
     Returns (median, ci_low, ci_high) per-window empirical 0.5/0.025/0.975
     quantiles over ``n_realizations`` encode-sample-decode passes.
 
+    ``rng`` gives one root entropy, ``rng.integers(2**63, size=2)``, for any
+    n and R. The rows are cut into groups of 256 from row 0; group g draws
+    its ``(rows, R, K)`` noise, row-major, from
+    ``default_rng(SeedSequence(root, spawn_key=(g,)))``. So the first m
+    rows of a call get the noise of a call on those m rows alone, and
+    results depend neither on the block size nor on the pool.
+
     The rows are encoded here, whole, and cut into contiguous ranges of
-    whole decode blocks. A block's rows are sized from the model: all R
-    samples of them pass the decoder's widest layer in at most 2^18
-    multiply-adds (8 rows for the default model at R=100), which OpenBLAS
-    runs on the calling thread. A range holds at most 2^17 samples (rows
-    times R) or one block. The noise is one ``(n, R, K)`` standard-normal
-    draw from ``rng``, row-major, so each range's noise is one contiguous
-    piece of the stream and the first m rows of a call get the noise of a
-    call on those m rows alone. It is drawn one range at a time as the range
-    is decoded, so memory is the outputs, one range's noise and one block's
+    whole groups. A group is decoded in blocks sized from the model: all R
+    samples of a block's rows pass the decoder's widest layer in at most
+    2^18 multiply-adds (8 rows for the default model at R=100), which
+    OpenBLAS runs on the calling thread. A block's noise is drawn as it is
+    decoded, so memory is the outputs plus one block's noise and
     reconstructions; it does not grow with R. From 2^18 samples (n·R) on,
-    the ranges are decoded on every usable core by a ``fork`` pool of worker
-    processes: the caller's process first walks the stream once, saving the
-    generator state at the start of each range, and each worker draws its
-    range from that state in a copy of ``rng``. Either way ``rng`` ends
-    where the one ``(n, R, K)`` draw would leave it, and results depend
-    neither on the block size nor on the pool.
+    the ranges (at most about 2^17 samples or one group each) are decoded
+    on every usable core by a ``fork`` pool of worker processes.
     """
     if n_realizations < 2:
         raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
-    rng = np.random.default_rng(rng)
+    root = np.random.default_rng(rng).integers(2**63, size=2)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n, d = values.shape
     mu, sigma = vae_mod.encode(model, values)
     block = _block_rows(model, n_realizations)
     workers, ranges = data._plan_rows(
-        n, max(block, _POOL_MIN_SAMPLES // (2 * n_realizations)), unit=block,
+        n, max(_NOISE_ROWS, _POOL_MIN_SAMPLES // (2 * n_realizations)), unit=_NOISE_ROWS,
         pooled=n * n_realizations >= _POOL_MIN_SAMPLES)
-    states = {}
-    if workers > 1:
-        # Generator.standard_normal caches nothing between calls, so drawing
-        # range by range reads the same stream as one (n, R, K) draw
-        per_row = n_realizations * mu.shape[1]
-        buffer = np.empty(max(rows.stop - rows.start for rows in ranges) * per_row)
-        for rows in ranges:
-            states[rows.start] = rng.bit_generator.state
-            rng.standard_normal(out=buffer[:(rows.stop - rows.start) * per_row])
-        del buffer
-        # the ranges set the state of a copy, so the caller's generator
-        # stays where the walk left it
-        rng = copy.deepcopy(rng)
     # pool workers write into a shared mapping. A serial call takes three
     # plain arrays, which can reuse heap memory freed after the input was
     # read; a mapping (or one (3, n, d) array) is always fresh memory
     out = data._shared_empty((3, n, d)) if workers > 1 else [np.empty((n, d)) for _ in range(3)]
     with data._map_rows(_denoise_rows,
-                        (model, mu, sigma, n_realizations, rng, states, block, out),
+                        (model, mu, sigma, n_realizations, root, block, out),
                         workers, ranges) as done:
         for _ in done:
             pass
@@ -326,10 +314,10 @@ def density_chart(
     if not hi > lo:
         raise ValueError(f"amplitude_range must satisfy lo < hi, got ({lo}, {hi})")
     n, d = values.shape
-    idx = np.clip(((values - lo) / (hi - lo) * bins).astype(int), 0, bins - 1)
     grid = np.zeros((bins, d))
     for j in range(d):
-        grid[:, j] = np.bincount(idx[:, j], minlength=bins)
+        idx = np.clip(((values[:, j] - lo) / (hi - lo) * bins).astype(int), 0, bins - 1)
+        grid[:, j] = np.bincount(idx, minlength=bins)
     grid /= n
     return DensityChart(grid=grid, amplitude_range=(float(lo), float(hi)), bins=bins)
 

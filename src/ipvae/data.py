@@ -645,10 +645,12 @@ def _opt_float(token: str) -> float:
 def _decay_set(table: np.ndarray, columns: list[str], scheme: WindowScheme) -> DecaySet:
     """DecaySet of parsed rows whose fields are laid out as in ``columns``."""
     index = {name: i for i, name in enumerate(columns)}
+    # np.take copies into C-contiguous arrays, which DecaySet keeps as they
+    # are; no view keeps the parsed table alive
     return DecaySet(
-        values=table[:, [index[f"m{j + 1}"] for j in range(scheme.count)]],
+        values=np.take(table, [index[f"m{j + 1}"] for j in range(scheme.count)], axis=1),
         scheme=scheme,
-        **{name: table[:, index[name]] for name in _META_COLUMNS[1:]},
+        **{name: np.take(table, index[name], axis=1) for name in _META_COLUMNS[1:]},
     )
 
 

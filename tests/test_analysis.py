@@ -1,3 +1,4 @@
+import copy
 import math
 import multiprocessing
 import os
@@ -156,17 +157,29 @@ class TestDenoise:
 
 
 def unblocked_denoise_matrix(model, values, n_realizations, rng):
-    """The pre-blocking denoise_matrix: one (n, R, K) noise draw, R separate
-    decodes of all n rows, all R·n·d reconstructions held, then np.quantile
-    over them."""
-    rng = np.random.default_rng(rng)
+    """The pre-blocking denoise_matrix: one root draw from ``rng``, each
+    256-row group's (rows, R, K) noise in one draw from its own keyed
+    stream, R separate decodes of all n rows, all R·n·d reconstructions
+    held, then np.quantile over them."""
+    root = np.random.default_rng(rng).integers(2**63, size=2)
     mu, sigma = vae_mod.encode(model, values)
-    eps = rng.standard_normal((values.shape[0], n_realizations, mu.shape[1]))
+    n, k = mu.shape
+    eps = np.empty((n, n_realizations, k))
+    for g, first in enumerate(range(0, n, 256)):
+        group = np.random.default_rng(np.random.SeedSequence(root, spawn_key=(g,)))
+        eps[first:first + 256] = group.standard_normal((min(256, n - first), n_realizations, k))
     recs = np.empty((n_realizations, values.shape[0], values.shape[1]))
     for r in range(n_realizations):
         recs[r] = vae_mod.decode(model, mu + eps[:, r] * sigma)
     lo, med, hi = np.quantile(recs, (0.025, 0.5, 0.975), axis=0)
     return med, lo, hi
+
+
+def after_root_draw(rng):
+    """The state a copy of ``rng`` is in after denoise_matrix's root draw."""
+    rng = copy.deepcopy(rng)
+    rng.integers(2**63, size=2)
+    return rng.bit_generator.state
 
 
 def same_state(a, b):
@@ -177,14 +190,15 @@ def same_state(a, b):
 
 
 class TestBlockedDenoise:
-    @pytest.mark.parametrize("realizations", [2, 3, 100])
-    @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "1000"])
+    @pytest.mark.parametrize("realizations", [2, 3, 37, 100])
+    @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "g+1", "1000"])
     def test_matches_unblocked_quantiles(self, small_model, small_corpus,
                                          realizations, rows):
         model, _ = small_model
         _, decays = small_corpus
         block = analysis._block_rows(model, realizations)
-        n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1, "1000": 1000}[rows]
+        n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1, "g+1": 257,
+             "1000": 1000}[rows]
         old_rng, new_rng = np.random.default_rng(17), np.random.default_rng(17)
         expected = unblocked_denoise_matrix(model, decays[:n], realizations, old_rng)
         got = denoise_matrix(model, decays[:n], realizations, new_rng)
@@ -203,10 +217,23 @@ class TestBlockedDenoise:
     def test_zero_rows(self, small_model):
         model, _ = small_model
         rng = np.random.default_rng(17)
-        before = rng.bit_generator.state
+        expected = after_root_draw(rng)
         for got in denoise_matrix(model, np.empty((0, model.input_dim)), 100, rng):
             assert got.shape == (0, model.input_dim)
-        assert rng.bit_generator.state == before
+        assert rng.bit_generator.state == expected
+
+    @pytest.mark.parametrize("force", ["serial", "pool"])
+    @pytest.mark.parametrize("realizations", [2, 37, 400])
+    @pytest.mark.parametrize("n", [0, 1, 255, 257, 3000])
+    def test_generator_advances_by_the_root_draw_only(self, monkeypatch, small_model,
+                                                      small_corpus, n, realizations, force):
+        model, _ = small_model
+        rng = np.random.Generator(np.random.PCG64(23))
+        expected = after_root_draw(rng)
+        with monkeypatch.context() as m:
+            force_serial(m) if force == "serial" else force_pool(m, block_ranges=True)
+            denoise_matrix(model, small_corpus[1][:n], realizations, rng)
+        assert rng.bit_generator.state == expected
 
     @pytest.mark.parametrize("force", ["serial", "pool"])
     @pytest.mark.parametrize("kind", [np.random.MT19937, np.random.Philox, np.random.SFC64])
@@ -246,17 +273,18 @@ def force_serial(m):
 
 def force_pool(m, block_ranges):
     """Decode in a pool of three workers (more than some hosts have cores)
-    from one block on, and fail if a call of two or more blocks is decoded
-    in the calling process. With ``block_ranges`` every pool task is one
-    block; otherwise the tasks keep their normal size and only calls at
-    or above the normal threshold are pooled."""
+    from two noise groups on, and fail if a call of two or more groups is
+    decoded in the calling process. With ``block_ranges`` every pool task
+    is one group; otherwise the tasks keep their normal size and only calls
+    at or above the normal threshold are pooled."""
     parent, denoise_rows = os.getpid(), analysis._denoise_rows
     threshold = 0 if block_ranges else analysis._POOL_MIN_SAMPLES
 
     def in_worker(shared, rows):
-        _, mu, _, realizations, _, _, block, _ = shared
-        if os.getpid() == parent and len(mu) > block and realizations * len(mu) >= threshold:
-            raise AssertionError("blocks decoded outside the pool")
+        _, mu, _, realizations, _, _, _ = shared
+        if (os.getpid() == parent and len(mu) > analysis._NOISE_ROWS
+                and realizations * len(mu) >= threshold):
+            raise AssertionError("groups decoded outside the pool")
         return denoise_rows(shared, rows)
 
     m.setattr(data, "_usable_cpus", lambda: 3)
@@ -265,18 +293,18 @@ def force_pool(m, block_ranges):
 
 
 class TestPooledDenoise:
-    """Blocks decoded by the process pool give the serial bits and leave the
+    """Groups decoded by the process pool give the serial bits and leave the
     generator in the same state."""
 
     @pytest.mark.parametrize("block_ranges", [True, False], ids=["block-tasks", "sized-tasks"])
-    @pytest.mark.parametrize("realizations", [2, 3, 100])
-    @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "1000", "20001"])
+    @pytest.mark.parametrize("realizations", [2, 3, 37, 100, 400])
+    @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "g+1", "1000", "20001"])
     def test_pooled_equals_serial(self, monkeypatch, small_model, small_corpus,
                                   realizations, rows, block_ranges):
         model, _ = small_model
         _, decays = small_corpus
         block = analysis._block_rows(model, realizations)
-        n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1,
+        n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1, "g+1": 257,
              "1000": 1000, "20001": 20_001}[rows]
         values = np.concatenate([decays, decays[:1]])[:n]
         results, states = [], []
@@ -299,9 +327,9 @@ class TestPooledDenoise:
     @pytest.mark.parametrize("rows", ["2", "b-1", "1000"])
     def test_prefix_rows_get_the_same_bits(self, monkeypatch, small_model, small_corpus,
                                            rows):
-        """Each row's noise is its own contiguous piece of the stream, so the
-        first m rows of a pooled 20k call equal a call on those m rows. One
-        row is left out: a one-row encode goes through gemv."""
+        """A row's noise depends only on its group and its place in it, so
+        the first m rows of a pooled 20k call equal a call on those m rows.
+        One row is left out: a one-row encode goes through gemv."""
         model, _ = small_model
         values = small_corpus[1]
         assert len(values) == 20_000
@@ -336,9 +364,9 @@ class TestPooledDenoise:
                 assert s.tobytes() == p.tobytes()
 
     def test_fork_unsafe_after_planning(self, monkeypatch, small_model, small_corpus):
-        """The ranges and their noise states are planned for a pool. When a
-        fork turns unsafe before the pool starts, the same ranges are
-        decoded in this process, with the same bits."""
+        """The ranges are planned for a pool. When a fork turns unsafe before
+        the pool starts, the same ranges are decoded in this process, with
+        the same bits."""
         model, _ = small_model
         values = small_corpus[1][:3000]
         fork_context, calls = data._fork_context, []
@@ -366,18 +394,18 @@ class TestPooledDenoise:
     def test_worker_error_reaches_caller(self, monkeypatch, small_model, small_corpus):
         model, _ = small_model
         _, decays = small_corpus
-        parent = os.getpid()
+        parent, denoise_rows = os.getpid(), analysis._denoise_rows
 
         def failing(shared, rows):
             if os.getpid() != parent:
                 raise RuntimeError(f"decode failed at row {rows.start}")
-            return analysis._denoise_rows(shared, rows)
+            return denoise_rows(shared, rows)
 
         monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(analysis, "_POOL_MIN_SAMPLES", 0)
         monkeypatch.setattr(analysis, "_denoise_rows", failing)
         with pytest.raises(RuntimeError, match=r"decode failed at row \d+"):
-            denoise_matrix(model, decays[:100], 100, rng=3)
+            denoise_matrix(model, decays[:1000], 100, rng=3)  # four noise groups
         assert multiprocessing.active_children() == []
 
 
@@ -463,6 +491,23 @@ class TestDensityChart:
         assert np.allclose(chart.grid.sum(axis=0), 1.0)
         assert np.allclose(chart.grid[0], 0.5)
         assert np.allclose(chart.grid[-1], 0.5)
+
+    def test_binned_one_column_at_a_time(self, small_corpus):
+        """The grid of the whole-matrix binning formula, bit for bit, with no
+        (n, d) temporary: the peak stays below a quarter of the values."""
+        values = small_corpus[1]
+        lo, hi = 0.0, 40.0  # both tails fall outside
+        idx = np.clip(((values - lo) / (hi - lo) * 100).astype(int), 0, 99)
+        expected = np.stack([np.bincount(idx[:, j], minlength=100)
+                             for j in range(values.shape[1])], axis=1) / len(values)
+        tracemalloc.start()
+        try:
+            chart = density_chart(values, bins=100, amplitude_range=(lo, hi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chart.grid.tobytes() == expected.tobytes()
+        assert peak < values.nbytes / 4
 
 
 class TestLatentCorrelation:

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import threading
+import tracemalloc
 import warnings
 from multiprocessing.pool import RemoteTraceback
 
@@ -704,6 +705,23 @@ class TestBulkReader:
         edit_lines(path, lambda lines: lines.__delitem__(2))
         with pytest.raises(DecayFormatError, match="no decay rows"):
             read_decays(path)
+
+    def test_window_columns_copied_once(self):
+        """The window columns, in any order in the file, are picked into one
+        C-contiguous copy that DecaySet keeps as it is, and no column is a
+        view that keeps the parsed table alive."""
+        columns = [f"m{j}" for j in range(20, 0, -1)] + list(data._META_COLUMNS)
+        table = np.random.default_rng(19).uniform(1.0, 50.0, (20_000, len(columns)))
+        tracemalloc.start()
+        try:
+            decays = data._decay_set(table, columns, data.DEFAULT_SCHEME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decays.values, table[:, 19::-1])
+        assert np.array_equal(decays.label, table[:, -1])
+        assert all(getattr(decays, name).base is None for name in data._META_COLUMNS[1:])
+        assert peak < 1.5 * decays.values.nbytes
 
 
 class TestSynthesizeCorpus:
