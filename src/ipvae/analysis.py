@@ -16,7 +16,6 @@ import numpy as np
 from . import data
 from . import filters as flt
 from . import vae as vae_mod
-from .data import average_chargeability
 from .vae import TrainConfig, TrainingDivergedError, VaeModel
 
 DEFAULT_OUTLIER_THRESHOLD = 1.0  # mV/V
@@ -94,12 +93,17 @@ def peak_snr(x, x_prime):
     whose dynamic range is undefined for this ratio.
     """
     x, x_prime = _same_shape(x, x_prime)
-    data_range = np.max(x, axis=-1) - np.min(x, axis=-1)
-    if np.any(data_range == 0.0):
-        raise ValueError("peak S/N is undefined for a constant input (zero range)")
     misfit = np.linalg.norm(x - x_prime, axis=-1)
     with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(data_range / misfit)
+        return 20.0 * np.log10(data_range(x) / misfit)
+
+
+def data_range(x) -> np.ndarray:
+    """max - min over the last axis, which the peak S/N needs to be > 0."""
+    spread = np.max(x, axis=-1) - np.min(x, axis=-1)
+    if np.any(spread == 0.0):
+        raise ValueError("peak S/N is undefined for a constant input (zero range)")
+    return spread
 
 
 def check_threshold(threshold: float) -> None:
@@ -138,12 +142,11 @@ def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
 # this size never starts BLAS threads, which a pool worker cannot use.
 _BLOCK_MULTIPLY_ADDS = 2**18
 # Samples (rows x realizations) from which denoise_matrix decodes in a
-# process pool; bench's 2k-row sweep calls at R=100 stay below it. A range
-# of a pool holds at most half of it, so a pooled call has two or more.
+# process pool; bench's 2k-row sweep calls at R=100 stay below it.
 _POOL_MIN_SAMPLES = 2**18
-# Rows per noise group: group g holds rows 256g to 256g+255 and draws their
-# noise from its own stream, so a row's noise depends on neither the pool
-# nor how many rows follow it.
+# Rows per noise group: group g holds rows 256g to 256g+255, draws their
+# noise from its own stream and is decoded and finished as one task, so a
+# row's noise and result depend on neither the pool nor the rows after it.
 _NOISE_ROWS = 256
 
 
@@ -154,24 +157,23 @@ def _block_rows(model: VaeModel, n_realizations: int) -> int:
     return max(1, _BLOCK_MULTIPLY_ADDS // (n_realizations * widest))
 
 
-def _denoise_rows(shared, rows: slice) -> None:
-    """Write the 0.025, 0.5 and 0.975 quantiles of the rows ``rows``, whole
-    noise groups, into three (n, d) outputs, decoding block by block with
-    the blocks cut at group ends."""
-    model, mu, sigma, realizations, root, block, out = shared
-    for first in range(rows.start, rows.stop, _NOISE_ROWS):
-        group = np.random.SeedSequence(root, spawn_key=(first // _NOISE_ROWS,))
-        rng = np.random.default_rng(group)
-        last = min(first + _NOISE_ROWS, rows.stop)
-        for start in range(first, last, block):
-            block_rows = slice(start, min(start + block, last))
-            eps = rng.standard_normal((block_rows.stop - start, realizations, mu.shape[1]))
-            z = mu[block_rows, None] + eps * sigma[block_rows, None]
-            recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
-            recs = recs.reshape(-1, realizations, model.input_dim).transpose(0, 2, 1).copy()
-            recs.sort(axis=-1)
-            for q, values in zip(out, sorted_quantiles(recs, (0.025, 0.5, 0.975))):
-                q[block_rows] = values
+def _denoise_rows(shared, rows: slice):
+    """The 0.5, 0.025 and 0.975 quantiles of the noise group ``rows``, (c, d)
+    each and decoded block by block, or ``finish(rows, *quantiles)``."""
+    model, mu, sigma, realizations, root, block, finish = shared
+    rng = np.random.default_rng(
+        np.random.SeedSequence(root, spawn_key=(rows.start // _NOISE_ROWS,)))
+    quantiles = np.empty((3, rows.stop - rows.start, model.input_dim))
+    for start in range(rows.start, rows.stop, block):
+        stop = min(start + block, rows.stop)
+        eps = rng.standard_normal((stop - start, realizations, mu.shape[1]))
+        z = mu[start:stop, None] + eps * sigma[start:stop, None]
+        recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
+        recs = recs.reshape(-1, realizations, model.input_dim).transpose(0, 2, 1).copy()
+        recs.sort(axis=-1)
+        quantiles[:, start - rows.start:stop - rows.start] = sorted_quantiles(
+            recs, (0.5, 0.025, 0.975))
+    return finish(rows, *quantiles) if finish else quantiles
 
 
 def denoise_matrix(
@@ -179,11 +181,16 @@ def denoise_matrix(
     values: np.ndarray,
     n_realizations: int = 100,
     rng: np.random.Generator | int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    finish=None,
+    take=None,
+):
     """Posterior-sampled reconstructions of each row of (n, d) ``values``.
 
     Returns (median, ci_low, ci_high) per-window empirical 0.5/0.025/0.975
-    quantiles over ``n_realizations`` encode-sample-decode passes.
+    quantiles over ``n_realizations`` encode-sample-decode passes, (n, d)
+    each. A caller that keeps less passes ``finish(rows, median, ci_low,
+    ci_high)``, run where group ``rows`` is decoded, and gets the list of
+    its results in row order, or of ``take(rows, result)`` run here on each.
 
     ``rng`` gives one root entropy, ``rng.integers(2**63, size=2)``, for any
     n and R. The rows are cut into groups of 256 from row 0; group g draws
@@ -192,15 +199,12 @@ def denoise_matrix(
     rows of a call get the noise of a call on those m rows alone, and
     results depend neither on the block size nor on the pool.
 
-    The rows are encoded here, whole, and cut into contiguous ranges of
-    whole groups. A group is decoded in blocks sized from the model: all R
-    samples of a block's rows pass the decoder's widest layer in at most
-    2^18 multiply-adds (8 rows for the default model at R=100), which
-    OpenBLAS runs on the calling thread. A block's noise is drawn as it is
-    decoded, so memory is the outputs plus one block's noise and
-    reconstructions; it does not grow with R. From 2^18 samples (n·R) on,
-    the ranges (at most about 2^17 samples or one group each) are decoded
-    on every usable core by a ``fork`` pool of worker processes.
+    The rows are encoded here, whole. Each group is one task, decoded in
+    blocks whose R samples pass the decoder's widest layer in at most 2^18
+    multiply-adds (8 rows for the default model at R=100), which OpenBLAS
+    runs on the calling thread; a block's noise is drawn as it is decoded,
+    so memory does not grow with R. From 2^18 samples (n·R) on, a ``fork``
+    pool decodes the groups on every usable core; only results come back.
     """
     if n_realizations < 2:
         raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
@@ -208,21 +212,17 @@ def denoise_matrix(
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n, d = values.shape
     mu, sigma = vae_mod.encode(model, values)
-    block = _block_rows(model, n_realizations)
-    workers, ranges = data._plan_rows(
-        n, max(_NOISE_ROWS, _POOL_MIN_SAMPLES // (2 * n_realizations)), unit=_NOISE_ROWS,
-        pooled=n * n_realizations >= _POOL_MIN_SAMPLES)
-    # pool workers write into a shared mapping. A serial call takes three
-    # plain arrays, which can reuse heap memory freed after the input was
-    # read; a mapping (or one (3, n, d) array) is always fresh memory
-    out = data._shared_empty((3, n, d)) if workers > 1 else [np.empty((n, d)) for _ in range(3)]
-    with data._map_rows(_denoise_rows,
-                        (model, mu, sigma, n_realizations, root, block, out),
-                        workers, ranges) as done:
-        for _ in done:
-            pass
-    lo, med, hi = out
-    return med, lo, hi
+    if finish is None:  # the default: fill three (n, d) outputs
+        med, lo, hi = (np.empty((n, d)) for _ in range(3))
+
+        def take(rows, quantiles):
+            med[rows], lo[rows], hi[rows] = quantiles
+    workers, ranges = data._plan_rows(n, _NOISE_ROWS, unit=_NOISE_ROWS,
+                                      pooled=n * n_realizations >= _POOL_MIN_SAMPLES)
+    shared = (model, mu, sigma, n_realizations, root, _block_rows(model, n_realizations), finish)
+    with data._map_rows(_denoise_rows, shared, workers, ranges) as done:
+        kept = [take(rows, result) if take else result for rows, result in zip(ranges, done)]
+    return kept if finish else (med, lo, hi)
 
 
 def denoise_all(
@@ -240,16 +240,16 @@ def denoise_all(
     """
     check_threshold(threshold)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    med, lo, hi = denoise_matrix(model, values, n_realizations, rng)
-    errs = rmse(values, med)
-    return DenoiseResult(
-        median=med,
-        ci_low=lo,
-        ci_high=hi,
-        rmse=errs,
-        peak_snr=peak_snr(values, med),
-        outlier=errs > threshold,
-    )
+    med, lo, hi = (np.empty(values.shape) for _ in range(3))
+    errs, snrs = np.empty(len(values)), np.empty(len(values))
+
+    def finish(rows, *quantiles):  # each group's metrics, computed in the pool
+        return *quantiles, rmse(values[rows], quantiles[0]), peak_snr(values[rows], quantiles[0])
+
+    def take(rows, result):
+        med[rows], lo[rows], hi[rows], errs[rows], snrs[rows] = result
+    denoise_matrix(model, values, n_realizations, rng, finish, take)
+    return DenoiseResult(med, lo, hi, errs, snrs, errs > threshold)
 
 
 def survey_snr_histogram(
@@ -269,7 +269,8 @@ def survey_snr_histogram(
         raise ValueError("empty decay set")
     if bin_width_db <= 0:
         raise ValueError(f"bin_width_db must be > 0, got {bin_width_db}")
-    snrs = denoise_all(model, values, n_realizations=n_realizations, rng=rng).peak_snr
+    snrs = np.concatenate(denoise_matrix(
+        model, values, n_realizations, rng, lambda rows, med, lo, hi: peak_snr(values[rows], med)))
     finite = snrs[np.isfinite(snrs)]
     inf_count = int(np.sum(~np.isfinite(snrs)))
     if finite.size == 0:
@@ -341,7 +342,7 @@ def latent_chargeability_correlation(mu: np.ndarray, values: np.ndarray) -> np.n
         raise ValueError("need at least 3 decays for a correlation")
     if mu.ndim != 2 or len(mu) != len(values):
         raise ValueError(f"latent means of shape {mu.shape} for {len(values)} decays")
-    m_bar = average_chargeability(values)
+    m_bar = data.average_chargeability(values)
     if np.std(m_bar) == 0.0:
         raise ValueError("average chargeability has zero variance")
     out = np.empty(mu.shape[1])
@@ -393,8 +394,9 @@ def latent_sweep(
             exc.args = (f"K={k}: {exc}",)
             raise
         _, nll, kl = loss_at_convergence(curve)
-        res = denoise_all(model, values, n_realizations=n_realizations, rng=config.seed)
-        snrs = res.peak_snr
+        errs, snrs = map(np.concatenate, zip(*denoise_matrix(
+            model, values, n_realizations, config.seed,
+            lambda rows, med, lo, hi: (rmse(values[rows], med), peak_snr(values[rows], med)))))
         generated = vae_mod.sample_matrix(
             model, values.shape[0], sigma_scale=1.0, rng=config.seed + 1
         )
@@ -405,7 +407,7 @@ def latent_sweep(
                 nll=nll,
                 kl=kl,
                 train_snr_db=float(np.mean(snrs[np.isfinite(snrs)])),
-                train_rmse=float(np.mean(res.rmse)),
+                train_rmse=float(np.mean(errs)),
                 dlc_diff=dlc_difference(gen_chart, corpus_chart),
             )
         )
@@ -436,12 +438,10 @@ def denoising_benchmark(
     out: dict[float, dict[str, tuple[float, float]]] = {}
     for sigma in sigmas:
         noisy = truth + sigma * unit_noise
-        med, _, _ = denoise_matrix(
-            model, noisy, n_realizations=n_realizations, rng=rng
-        )
         per_method = {
             "none": rmse(noisy, truth),
-            "ip_vae": rmse(med, truth),
+            "ip_vae": np.concatenate(denoise_matrix(
+                model, noisy, n_realizations, rng, lambda rows, med, *_: rmse(med, truth[rows]))),
         }
         for name, kind in (("ma", "MA"), ("ema", "EMA"), ("butterworth", "Butterworth")):
             _, _, errs = flt.tune_batch(kind, noisy, truth)

@@ -157,30 +157,32 @@ def cmd_denoise(args) -> int:
     _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
     model = vae_mod.load(args.model)
     values = data_mod.read_decays(args.input).values
-    res = analysis.denoise_all(
-        model,
-        values,
-        n_realizations=args.realizations,
-        threshold=args.threshold,
-        rng=args.seed,
-    )
-    windows = range(1, model.input_dim + 1)
+    analysis.data_range(values)  # a constant decay is rejected before any output
+
+    def finish(rows, med, lo, hi):
+        errs, snrs = analysis.rmse(values[rows], med), analysis.peak_snr(values[rows], med)
+        ids = np.arange(rows.start, rows.stop)
+        return data_mod.table_text([ids, errs, snrs, errs > args.threshold, med, lo, hi]), errs, snrs
+
+    def write(rows, result):
+        text, rmse[rows], snr[rows] = result
+        fh.write(text)
+
+    header = ",".join(["id", "rmse_mv_per_v", "peak_snr_db", "outlier"] + [
+        f"{band}_m{j + 1}" for band in ("med", "lo", "hi") for j in range(model.input_dim)])
+    rmse, snr = np.empty(len(values)), np.empty(len(values))
     out = _out_dir(args)
-    write_table(
-        os.path.join(out, "results.csv"),
-        ",".join(["id", "rmse_mv_per_v", "peak_snr_db", "outlier"]
-                 + [f"{band}_m{j}" for band in ("med", "lo", "hi") for j in windows]),
-        np.arange(len(values)), res.rmse, res.peak_snr, res.outlier,
-        res.median, res.ci_low, res.ci_high,
-    )
-    finite = res.peak_snr[np.isfinite(res.peak_snr)]
-    n_outliers = int(np.sum(res.outlier))
+    with atomic_open(os.path.join(out, "results.csv"), "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        analysis.denoise_matrix(model, values, args.realizations, args.seed, finish, write)
+    finite = snr[np.isfinite(snr)]
+    n_outliers = int(np.sum(rmse > args.threshold))
     if n_outliers > len(values) / 2:
         print(
             f"warning: {n_outliers} of {len(values)} decays"
             f" ({n_outliers / len(values):.0%}) flagged at {args.threshold} mV/V;"
             f" the median per-decay RMSE, a noise-floor estimate, is"
-            f" {float(np.median(res.rmse)):.3g} mV/V",
+            f" {float(np.median(rmse)):.3g} mV/V",
             file=sys.stderr,
         )
     _write_json(
@@ -189,9 +191,9 @@ def cmd_denoise(args) -> int:
             "n": len(values),
             "n_outliers": n_outliers,
             "threshold_mv_per_v": args.threshold,
-            "mean_rmse_mv_per_v": float(np.mean(res.rmse)),
+            "mean_rmse_mv_per_v": float(np.mean(rmse)),
             "mean_finite_peak_snr_db": float(finite.mean()) if finite.size else None,
-            "n_infinite_peak_snr": int(np.sum(~np.isfinite(res.peak_snr))),
+            "n_infinite_peak_snr": int(np.sum(~np.isfinite(snr))),
         },
     )
     _echo_config(out, "denoise", args)

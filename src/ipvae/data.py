@@ -6,14 +6,13 @@ is switched off. Computations hold a corpus as an (n, d) float64 matrix, one
 decay per row. This module generates synthetic corpora from a
 stretched-exponential relaxation family, contaminates them with Gaussian
 noise and spikes, reads/writes the ``ipvae-decays v1`` CSV format through
-:class:`DecaySet`, and writes every output file atomically; every CSV table,
-decay files included, goes through :func:`write_table`.
+:class:`DecaySet`, and writes every output file atomically; every CSV row,
+decay files included, is formatted by :func:`table_text`.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import warnings
 from contextlib import contextmanager, suppress
@@ -378,11 +377,12 @@ def _put_digits(words: np.ndarray, value: np.ndarray, lo: int, hi: int) -> None:
         words[..., j] = np.take(digits, group.astype(np.intp), mode="clip")
 
 
-def _chunk_text(groups: list[list[np.ndarray]], rows: slice) -> bytes:
-    """UTF-8 text of the table rows ``rows``."""
-    blocks = [np.column_stack([b[rows] for b in g]) if len(g) > 1 else g[0][rows]
-              for g in groups]
-    blocks = [b.reshape(len(b), -1) for b in blocks]
+def table_text(columns, rows: slice = slice(None)) -> bytes:
+    """UTF-8 text of the rows ``rows`` of the column blocks ``columns``,
+    each an (n,) or (n, k) array, as :func:`write_table` writes them."""
+    from itertools import groupby  # adjacent blocks of one kind format as one
+    blocks = [np.column_stack([c[rows] for c in run])
+              for _, run in groupby(columns, lambda c: c.dtype.kind)]
     n = len(blocks[0])
     width = sum(b.shape[1] for b in blocks)
     # (first column, cells) of each run of columns to format. A float
@@ -453,20 +453,20 @@ def _chunk_text(groups: list[list[np.ndarray]], rows: slice) -> bytes:
     return b"".join(pieces)
 
 
-# The task function and its shared data in a pool worker. Only the workers
-# set them, once each, in _adopt_task: they inherit both from the parent
-# through fork, so no array is pickled.
+# (func, shared, stop) in a pool worker, set once by _adopt_task from its fork
 _worker_task = None
 
 
-def _adopt_task(func, shared) -> None:
+def _adopt_task(func, shared, stop) -> None:
     global _worker_task
-    _worker_task = (func, shared)
+    import signal  # Ctrl-C stops the parent, which then stops the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_task = (func, shared, stop)
 
 
 def _run_adopted(rows: slice):
-    func, shared = _worker_task
-    return func(shared, rows)
+    func, shared, stop = _worker_task
+    return None if stop.is_set() else func(shared, rows)
 
 
 def _usable_cpus() -> int:
@@ -486,14 +486,6 @@ def _fork_context():
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return None
     return multiprocessing.get_context("fork")
-
-
-def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 array in a shared anonymous mapping: pool
-    workers forked after it is made write their results into it in place,
-    so no result is pickled or copied."""
-    size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size).reshape(shape)
 
 
 def _split_rows(n: int, parts: int, unit: int) -> list[slice]:
@@ -529,18 +521,25 @@ def _map_rows(func, shared, workers: int, ranges: list[slice]):
     ``ranges``, in order, as planned by :func:`_plan_rows`.
 
     With two or more ``workers`` and a ``fork`` still safe, ``func`` runs in
-    a pool of that many worker processes; the workers inherit ``func`` and
-    ``shared`` through ``fork`` and only the ranges and results are
-    pickled. Otherwise ``func`` runs lazily in this process, on the same
-    ranges. A worker's exception is raised from the iterator, and the pool
-    is torn down when the ``with`` block ends.
+    a pool of that many worker processes, which inherit ``func`` and
+    ``shared`` through ``fork``; only ranges and results are pickled.
+    Otherwise it runs lazily in this process, on the same ranges. A
+    worker's exception is raised from the iterator. When the ``with`` block
+    ends the workers skip the ranges not yet started and exit, unkilled: a
+    worker killed while it sends a result would leave the result queue locked.
     """
     context = _fork_context() if workers > 1 else None
     if context is None:
         yield (func(shared, rows) for rows in ranges)
         return
-    with context.Pool(workers, _adopt_task, (func, shared)) as pool:
+    stop = context.Event()
+    pool = context.Pool(workers, _adopt_task, (func, shared, stop))
+    try:
         yield pool.imap(_run_adopted, ranges)
+    finally:
+        stop.set()
+        pool.close()
+        pool.join()
 
 
 def write_table(path, header: str, *columns) -> None:
@@ -548,15 +547,15 @@ def write_table(path, header: str, *columns) -> None:
     after any leading comment lines), then one line per row of the column
     blocks, each an (n,) or (n, k) array.
 
-    This is the one place that sets the text of a number in an output file.
-    Floats are written in shortest round-trip form, byte for byte what
-    ``repr`` prints, and NaN as an empty field; integers in decimal, bools
-    as ``1``/``0``, strings as they are. Rows are formatted in equal chunks
-    of at most 4096 rows and 2^15 cells. Each chunk's numbers are turned
-    into text by one numpy kernel that fills one byte buffer
-    (:func:`_chunk_text`); only values outside its domain (for floats:
-    zero, |x| < 1e-3 or >= 2^52, powers of two, inf) and strings call
-    ``repr`` or ``str`` one at a time.
+    Row text comes from :func:`table_text`, the one place that sets the
+    text of a number in an output file. Floats are written in shortest
+    round-trip form, byte for byte what ``repr`` prints, and NaN as an
+    empty field; integers in decimal, bools as ``1``/``0``, strings as
+    they are. Rows are formatted in equal chunks of at most 4096 rows and
+    2^15 cells. Each chunk's numbers are turned into text by one numpy
+    kernel that fills one byte buffer; only values outside its domain (for
+    floats: zero, |x| < 1e-3 or >= 2^52, powers of two, inf) and strings
+    call ``repr`` or ``str`` one at a time.
 
     Chunks are formatted on every usable core: a table of two or more
     chunks and at least 2^18 cells is formatted by a ``fork`` pool of one
@@ -574,15 +573,9 @@ def write_table(path, header: str, *columns) -> None:
         raise ValueError(
             f"{len(names)} column names for blocks of shapes {[b.shape for b in blocks]}"
         )
-    groups: list[list[np.ndarray]] = []
-    for b in blocks:
-        if groups and b.dtype.kind == "f" and groups[-1][-1].dtype.kind == "f":
-            groups[-1].append(b)
-        else:
-            groups.append([b])
     max_rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width))
     plan = _plan_rows(n, max_rows, pooled=n * width >= _PARALLEL_MIN_CELLS)
-    with atomic_open(path, "wb") as fh, _map_rows(_chunk_text, groups, *plan) as texts:
+    with atomic_open(path, "wb") as fh, _map_rows(table_text, blocks, *plan) as texts:
         fh.write(f"{header}\n".encode())
         fh.writelines(texts)
 

@@ -444,7 +444,12 @@ def sample_matrix(
         raise ValueError(f"sigma_scale must be >= 0, got {sigma_scale}")
     rng = np.random.default_rng(rng)
     z = sigma_scale * rng.standard_normal((n, model.latent_dim))
-    return decode(model, z)
+    out = np.empty((n, model.input_dim))
+    # blocks of 4096 rows; a leftover row joins the last (one row goes to gemv)
+    edges = [*range(0, max(n - 1, 1), 4096), n]
+    for start, stop in zip(edges, edges[1:]):
+        out[start:stop] = decode(model, z[start:stop])
+    return out
 
 
 # --- persistence -------------------------------------------------------------

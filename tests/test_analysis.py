@@ -231,7 +231,7 @@ class TestBlockedDenoise:
         rng = np.random.Generator(np.random.PCG64(23))
         expected = after_root_draw(rng)
         with monkeypatch.context() as m:
-            force_serial(m) if force == "serial" else force_pool(m, block_ranges=True)
+            force_serial(m) if force == "serial" else force_pool(m, any_size=True)
             denoise_matrix(model, small_corpus[1][:n], realizations, rng)
         assert rng.bit_generator.state == expected
 
@@ -243,7 +243,7 @@ class TestBlockedDenoise:
         old_rng, new_rng = (np.random.Generator(kind(17)) for _ in range(2))
         expected = unblocked_denoise_matrix(model, values, 100, old_rng)
         with monkeypatch.context() as m:
-            force_serial(m) if force == "serial" else force_pool(m, block_ranges=True)
+            force_serial(m) if force == "serial" else force_pool(m, any_size=True)
             got = denoise_matrix(model, values, 100, new_rng)
         assert type(new_rng.bit_generator) is kind
         assert same_state(new_rng.bit_generator.state, old_rng.bit_generator.state)
@@ -271,17 +271,16 @@ def force_serial(m):
     m.setattr(data, "_usable_cpus", lambda: 1)
 
 
-def force_pool(m, block_ranges):
+def force_pool(m, any_size):
     """Decode in a pool of three workers (more than some hosts have cores)
-    from two noise groups on, and fail if a call of two or more groups is
-    decoded in the calling process. With ``block_ranges`` every pool task
-    is one group; otherwise the tasks keep their normal size and only calls
-    at or above the normal threshold are pooled."""
+    and fail if a call that should be pooled decodes a group in the calling
+    process. With ``any_size`` every call of two or more groups is pooled;
+    otherwise only calls at or above the normal threshold are."""
     parent, denoise_rows = os.getpid(), analysis._denoise_rows
-    threshold = 0 if block_ranges else analysis._POOL_MIN_SAMPLES
+    threshold = 0 if any_size else analysis._POOL_MIN_SAMPLES
 
     def in_worker(shared, rows):
-        _, mu, _, realizations, _, _, _ = shared
+        _, mu, _, realizations, _, _, _finish = shared
         if (os.getpid() == parent and len(mu) > analysis._NOISE_ROWS
                 and realizations * len(mu) >= threshold):
             raise AssertionError("groups decoded outside the pool")
@@ -296,11 +295,13 @@ class TestPooledDenoise:
     """Groups decoded by the process pool give the serial bits and leave the
     generator in the same state."""
 
-    @pytest.mark.parametrize("block_ranges", [True, False], ids=["block-tasks", "sized-tasks"])
+    # block-tasks: every call of two or more groups is pooled; sized-tasks:
+    # only calls of 2^18 samples or more, as without the patch
+    @pytest.mark.parametrize("any_size", [True, False], ids=["block-tasks", "sized-tasks"])
     @pytest.mark.parametrize("realizations", [2, 3, 37, 100, 400])
     @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "g+1", "1000", "20001"])
     def test_pooled_equals_serial(self, monkeypatch, small_model, small_corpus,
-                                  realizations, rows, block_ranges):
+                                  realizations, rows, any_size):
         model, _ = small_model
         _, decays = small_corpus
         block = analysis._block_rows(model, realizations)
@@ -308,7 +309,7 @@ class TestPooledDenoise:
              "1000": 1000, "20001": 20_001}[rows]
         values = np.concatenate([decays, decays[:1]])[:n]
         results, states = [], []
-        for force in (force_serial, lambda m: force_pool(m, block_ranges)):
+        for force in (force_serial, lambda m: force_pool(m, any_size)):
             rng = np.random.default_rng(29)
             with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -335,33 +336,27 @@ class TestPooledDenoise:
         assert len(values) == 20_000
         m = {"2": 2, "b-1": analysis._block_rows(model, 100) - 1, "1000": 1000}[rows]
         with monkeypatch.context() as mp:
-            force_pool(mp, block_ranges=False)
+            force_pool(mp, any_size=False)
             whole = denoise_matrix(model, values, 100, rng=11)
         for w, p in zip(whole, denoise_matrix(model, values[:m], 100, rng=11)):
             assert w[:m].tobytes() == p.tobytes()
 
-    def test_serial_call_allocates_no_shared_output(self, monkeypatch, small_model,
-                                                    small_corpus):
+    @pytest.mark.parametrize("force", ["serial", "pool"])
+    def test_outputs_filled_as_groups_arrive(self, monkeypatch, small_model, small_corpus,
+                                             force):
+        """A default call holds its three (n, d) outputs and little more;
+        keeping every group's quantiles to join them at the end would hold
+        the outputs twice."""
         model, _ = small_model
-        values = small_corpus[1][:3000]  # 3000 x 100 samples: a pooled size
-        shared_empty, shared = data._shared_empty, []
-
-        def counted(shape):
-            shared.append(shape)
-            return shared_empty(shape)
-
-        monkeypatch.setattr(data, "_shared_empty", counted)
-        with monkeypatch.context() as m:
-            m.setattr(data, "_usable_cpus", lambda: 3)
-            pooled = denoise_matrix(model, values, 100, rng=3)
-        assert shared == [(3, 3000, values.shape[1])]
-        for force in (force_serial, lambda m: m.setattr(analysis, "_POOL_MIN_SAMPLES", 10**9)):
-            with monkeypatch.context() as m:
-                force(m)
-                serial = denoise_matrix(model, values, 100, rng=3)
-            assert len(shared) == 1
-            for s, p in zip(serial, pooled):
-                assert s.tobytes() == p.tobytes()
+        values = small_corpus[1]  # 20k x 100 samples: a pooled size
+        force_serial(monkeypatch) if force == "serial" else force_pool(monkeypatch, False)
+        tracemalloc.start()
+        try:
+            outs = denoise_matrix(model, values, 100, rng=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(out.nbytes for out in outs)
 
     def test_fork_unsafe_after_planning(self, monkeypatch, small_model, small_corpus):
         """The ranges are planned for a pool. When a fork turns unsafe before

@@ -1,7 +1,11 @@
 import filecmp
 import hashlib
 import json
+import multiprocessing
 import os
+import time
+import tracemalloc
+from multiprocessing.pool import RemoteTraceback
 
 import numpy as np
 import pytest
@@ -248,6 +252,69 @@ class TestDenoise:
         lines = (tmp_path / "d" / "results.csv").read_text().splitlines(keepends=True)
         assert len(lines) == 5001
         assert lines[1:] == [",".join(map(old_fmt, row)) + "\n" for row in rows]
+
+    def test_constant_decay_rejected_before_output(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch):
+        values = data.synthesize_corpus(data.SyntheticSpec(n=3000, seed=6))[1]
+        values[1234] = 5.0  # 3000 x 100 samples: a pooled size
+        corpus = tmp_path / "survey.csv"
+        data.write_decays(data.DecaySet(values), corpus)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        assert run("denoise", "--model", pipeline / "train" / "model.ipvae",
+                   "--input", corpus, "--seed", 3, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              "peak S/N is undefined for a constant input (zero range)")
+
+    def test_failure_mid_stream_leaves_no_results(self, pipeline, tmp_path, monkeypatch):
+        """A group fails in a pool worker after the rows of earlier groups
+        reached the file: the error reaches the caller, and neither
+        results.csv nor its temporary file is left."""
+        corpus, out = tmp_path / "survey.csv", tmp_path / "out"
+        values = data.synthesize_corpus(data.SyntheticSpec(n=3000, seed=6))[1]
+        data.write_decays(data.DecaySet(values), corpus)
+        parent, denoise_rows = os.getpid(), analysis._denoise_rows
+
+        def written():
+            return sum(p.stat().st_size for p in out.glob("results.csv.*.tmp"))
+
+        def failing(shared, rows):
+            if os.getpid() == parent:
+                raise AssertionError("group decoded outside the pool")
+            if rows.start == 8 * analysis._NOISE_ROWS:
+                deadline = time.monotonic() + 60
+                while written() < 10**5 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise RuntimeError(f"group failed after {written()} bytes were written")
+            return denoise_rows(shared, rows)
+
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(analysis, "_POOL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(analysis, "_denoise_rows", failing)
+        with pytest.raises(RuntimeError, match="group failed after") as raised:
+            run("denoise", "--model", pipeline / "train" / "model.ipvae", "--input", corpus,
+                "--realizations", 10, "--seed", 3, "--out", out)
+        assert isinstance(raised.value.__cause__, RemoteTraceback)
+        assert int(str(raised.value).split()[3]) >= 10**5  # a group's rows or more
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_serial_peak_below_whole_survey_output(self, pipeline, small_corpus, tmp_path,
+                                                   monkeypatch):
+        """In process and serial, denoising 20k decays peaks below four
+        times their values: the input plus the (3, n, d) median and band a
+        whole-survey output holds."""
+        values = small_corpus[1]
+        corpus = tmp_path / "survey.csv"
+        data.write_decays(data.DecaySet(values), corpus)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            assert run("denoise", "--model", pipeline / "train" / "model.ipvae",
+                       "--input", corpus, "--seed", 3, "--out", tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * values.nbytes
 
     def test_threshold_checked_before_reading(self, tmp_path, capsys):
         # RMSE is >= 0, so a negative threshold would flag every decay

@@ -468,16 +468,16 @@ def force_pool(m):
     """Format every table of two or more chunks in a pool of three workers
     (more than some hosts have cores), and fail if a chunk of such a table
     is formatted in the calling process."""
-    parent, chunk_text = os.getpid(), data._chunk_text
+    parent, table_text = os.getpid(), data.table_text
 
-    def in_worker(groups, start):
-        if os.getpid() == parent and len(groups[0][0]) > data._CHUNK_ROWS:
+    def in_worker(columns, rows):
+        if os.getpid() == parent and len(columns[0]) > data._CHUNK_ROWS:
             raise AssertionError("chunk formatted outside the pool")
-        return chunk_text(groups, start)
+        return table_text(columns, rows)
 
     m.setattr(data, "_usable_cpus", lambda: 3)
     m.setattr(data, "_PARALLEL_MIN_CELLS", 0)
-    m.setattr(data, "_chunk_text", in_worker)
+    m.setattr(data, "table_text", in_worker)
 
 
 def serial_and_pooled_bytes(monkeypatch, tmp_path, write):

@@ -324,6 +324,14 @@ class TestSample:
         model, _ = small_model
         assert sample_matrix(model, 5, rng=13).shape == (5, model.input_dim)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 4096, 4097, 8193, 20_000])
+    def test_blocks_equal_one_decode(self, small_model, n):
+        """Decoded in 4096-row blocks, a leftover row joining the last
+        block: the bits of one decode of the whole draw."""
+        model, _ = small_model
+        z = np.random.default_rng(14).standard_normal((n, model.latent_dim))
+        assert sample_matrix(model, n, 1.0, rng=14).tobytes() == decode(model, z).tobytes()
+
 
 def old_pack_payload(model):
     """The per-tensor payload writer that defined the model file format."""
