@@ -9,6 +9,7 @@ uses the raw Euclidean norm of the misfit in its dynamic-range ratio.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,10 +160,14 @@ def _block_rows(model: VaeModel, n_realizations: int) -> int:
 
 def _denoise_rows(shared, rows: slice):
     """The 0.5, 0.025 and 0.975 quantiles of the noise group ``rows``, (c, d)
-    each and decoded block by block, or ``finish(rows, *quantiles)``."""
-    model, mu, sigma, realizations, root, block, finish = shared
+    each and decoded block by block, or ``finish(rows, *quantiles)``. The
+    rows of ``mu`` are ``len(roots)`` levels of equal size, stacked; the
+    group's noise stream is keyed by its place in its level, under the
+    level's root."""
+    model, mu, sigma, realizations, roots, block, finish = shared
+    level, offset = divmod(rows.start, len(mu) // len(roots))
     rng = np.random.default_rng(
-        np.random.SeedSequence(root, spawn_key=(rows.start // _NOISE_ROWS,)))
+        np.random.SeedSequence(roots[level], spawn_key=(offset // _NOISE_ROWS,)))
     quantiles = np.empty((3, rows.stop - rows.start, model.input_dim))
     for start in range(rows.start, rows.stop, block):
         stop = min(start + block, rows.stop)
@@ -174,6 +179,26 @@ def _denoise_rows(shared, rows: slice):
         quantiles[:, start - rows.start:stop - rows.start] = sorted_quantiles(
             recs, (0.5, 0.025, 0.975))
     return finish(rows, *quantiles) if finish else quantiles
+
+
+@contextmanager
+def _denoised_groups(model, mu, sigma, n_realizations: int, roots, finish):
+    """Yield ``(rows, result)`` for every 256-row noise group of the
+    ``len(roots)`` equal levels stacked in the encoded ``mu`` and ``sigma``,
+    in row order, each level with its own root: a level's groups are cut
+    from its first row, and none spans two levels. Each group is one task
+    of one :func:`data._map_rows` pass, pooled from 2^18 samples (rows of
+    all levels times R) on."""
+    if n_realizations < 2:
+        raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
+    n = len(mu) // len(roots) if len(roots) else 0
+    ranges = [slice(level * n + start, level * n + min(start + _NOISE_ROWS, n))
+              for level in range(len(roots)) for start in range(0, n, _NOISE_ROWS)]
+    workers, _ = data._plan_rows(len(mu), _NOISE_ROWS,
+                                 pooled=len(mu) * n_realizations >= _POOL_MIN_SAMPLES)
+    shared = (model, mu, sigma, n_realizations, roots, _block_rows(model, n_realizations), finish)
+    with data._map_rows(_denoise_rows, shared, workers, ranges) as done:
+        yield zip(ranges, done)
 
 
 def denoise_matrix(
@@ -206,8 +231,6 @@ def denoise_matrix(
     so memory does not grow with R. From 2^18 samples (n·R) on, a ``fork``
     pool decodes the groups on every usable core; only results come back.
     """
-    if n_realizations < 2:
-        raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
     root = np.random.default_rng(rng).integers(2**63, size=2)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n, d = values.shape
@@ -217,11 +240,8 @@ def denoise_matrix(
 
         def take(rows, quantiles):
             med[rows], lo[rows], hi[rows] = quantiles
-    workers, ranges = data._plan_rows(n, _NOISE_ROWS, unit=_NOISE_ROWS,
-                                      pooled=n * n_realizations >= _POOL_MIN_SAMPLES)
-    shared = (model, mu, sigma, n_realizations, root, _block_rows(model, n_realizations), finish)
-    with data._map_rows(_denoise_rows, shared, workers, ranges) as done:
-        kept = [take(rows, result) if take else result for rows, result in zip(ranges, done)]
+    with _denoised_groups(model, mu, sigma, n_realizations, [root], finish) as done:
+        kept = [take(rows, result) if take else result for rows, result in done]
     return kept if finish else (med, lo, hi)
 
 
@@ -431,26 +451,41 @@ def denoising_benchmark(
     filters are tuned per decay against the ground truth, the strongest
     possible baseline setting. One unit-noise draw is shared across noise
     levels (scaled by sigma) so the sweep traces smooth curves.
+
+    After the truth and the unit noise, the generator gives one root per
+    level, in order, as a :func:`denoise_matrix` call per level would. Each
+    level is encoded on its own, then every level's 256-row noise groups
+    are the tasks of one pool pass: a task rebuilds its noisy rows as
+    ``truth + sigma * unit_noise``, decodes them and returns their RMSE for
+    every method, the three filters tuned on those rows alone. No
+    ``(levels·n, d)`` array is held.
     """
     rng = np.random.default_rng(seed)
     truth = vae_mod.sample_matrix(model, n, sigma_scale=1.0, rng=rng)
     unit_noise = rng.standard_normal(truth.shape)
-    out: dict[float, dict[str, tuple[float, float]]] = {}
-    for sigma in sigmas:
-        noisy = truth + sigma * unit_noise
-        per_method = {
-            "none": rmse(noisy, truth),
-            "ip_vae": np.concatenate(denoise_matrix(
-                model, noisy, n_realizations, rng, lambda rows, med, *_: rmse(med, truth[rows]))),
-        }
-        for name, kind in (("ma", "MA"), ("ema", "EMA"), ("butterworth", "Butterworth")):
-            _, _, errs = flt.tune_batch(kind, noisy, truth)
-            per_method[name] = errs
-        out[float(sigma)] = {
-            name: (float(np.mean(errs)), float(np.std(errs)))
-            for name, errs in per_method.items()
-        }
-    return out
+    roots = rng.integers(2**63, size=(len(sigmas), 2))
+    mu, sigma = (np.empty((len(sigmas) * n, model.latent_dim)) for _ in range(2))
+    levels = [slice(level * n, (level + 1) * n) for level in range(len(sigmas))]
+    for rows, s in zip(levels, sigmas):
+        mu[rows], sigma[rows] = vae_mod.encode(model, truth + s * unit_noise)
+
+    def finish(rows, median, *_):  # every method's RMSE on one group
+        level, start = divmod(rows.start, n)
+        own = slice(start, start + len(median))
+        noisy = truth[own] + sigmas[level] * unit_noise[own]
+        return (rmse(noisy, truth[own]), rmse(median, truth[own]),
+                *(flt.tune_batch(kind, noisy, truth[own])[2]
+                  for kind in ("MA", "EMA", "Butterworth")))
+
+    errs = np.empty((len(BENCH_METHODS), len(mu)))
+    with _denoised_groups(model, mu, sigma, n_realizations, roots, finish) as done:
+        for rows, result in done:
+            errs[:, rows] = result
+    return {
+        float(s): {name: (float(np.mean(e)), float(np.std(e)))
+                   for name, e in zip(BENCH_METHODS, errs[:, rows])}
+        for rows, s in zip(levels, sigmas)
+    }
 
 
 def fitted_slope(x: np.ndarray, y: np.ndarray) -> float:

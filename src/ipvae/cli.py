@@ -207,8 +207,10 @@ def cmd_bench(args) -> int:
     _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
     _require(0 <= args.sigma < np.inf, "--sigma", "finite and >= 0", args.sigma)
     sigmas = _parse_sigmas(args.sigmas)
-    _require(all(0 <= s < np.inf for s in sigmas) and len(set(sigmas)) >= 2, "--sigmas",
-             "at least two distinct finite values >= 0 to fit a slope", repr(args.sigmas))
+    # noise_sweep.csv has one row set per sigma, so none may repeat
+    _require(all(0 <= s < np.inf for s in sigmas) and len(set(sigmas)) == len(sigmas) >= 2,
+             "--sigmas", "at least two distinct finite values >= 0 to fit a slope",
+             repr(args.sigmas))
     model = vae_mod.load(args.model)
     table = analysis.denoising_benchmark(
         model, args.n, (args.sigma,), seed=args.seed, n_realizations=args.realizations

@@ -500,19 +500,19 @@ def _split_rows(n: int, parts: int, unit: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _plan_rows(n: int, max_rows: int, *, unit: int = 1, pooled: bool) -> tuple[int, list[slice]]:
+def _plan_rows(n: int, max_rows: int, *, pooled: bool) -> tuple[int, list[slice]]:
     """How :func:`_map_rows` covers rows 0 to n: ``(workers, ranges)``.
 
     ``workers`` is one per usable CPU, at most one per ``max_rows`` rows,
     when ``pooled`` and a ``fork`` is safe; otherwise 1, this process alone.
-    The contiguous ``ranges`` are as equal as whole ``unit``-row blocks
-    allow, hold at most about ``max_rows`` rows each, and number a multiple
-    of the workers so they finish together.
+    The contiguous ``ranges`` are as equal as can be, hold at most about
+    ``max_rows`` rows each, and number a multiple of the workers so they
+    finish together.
     """
     workers = min(_usable_cpus(), -(-n // max_rows)) if pooled else 1
     if workers < 2 or _fork_context() is None:
         workers = 1
-    return workers, _split_rows(n, workers * -(-n // (workers * max_rows)), unit)
+    return workers, _split_rows(n, workers * -(-n // (workers * max_rows)), 1)
 
 
 @contextmanager

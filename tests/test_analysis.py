@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from ipvae import analysis, data
+from ipvae import filters as flt
 from ipvae import vae as vae_mod
 from ipvae.analysis import (
     denoise_all,
     denoise_matrix,
+    denoising_benchmark,
     density_chart,
     dlc_difference,
     fitted_slope,
@@ -401,6 +403,46 @@ class TestPooledDenoise:
         monkeypatch.setattr(analysis, "_denoise_rows", failing)
         with pytest.raises(RuntimeError, match=r"decode failed at row \d+"):
             denoise_matrix(model, decays[:1000], 100, rng=3)  # four noise groups
+        assert multiprocessing.active_children() == []
+
+
+def reference_benchmark(model, n, sigmas, seed, realizations):
+    """The comparison level by level: one denoise_matrix call, drawing its
+    root from the shared generator, and one tune_batch per filter kind."""
+    rng = np.random.default_rng(seed)
+    truth = sample_matrix(model, n, sigma_scale=1.0, rng=rng)
+    unit_noise = rng.standard_normal(truth.shape)
+    out = {}
+    for sigma in sigmas:
+        noisy = truth + sigma * unit_noise
+        median, _, _ = denoise_matrix(model, noisy, realizations, rng)
+        errs = [rmse(noisy, truth), rmse(median, truth),
+                *(flt.tune_batch(kind, noisy, truth)[2] for kind in ("MA", "EMA", "Butterworth"))]
+        out[float(sigma)] = {name: (float(np.mean(e)), float(np.std(e)))
+                             for name, e in zip(analysis.BENCH_METHODS, errs)}
+    return out
+
+
+class TestDenoisingBenchmark:
+    """All levels in one pass of 256-row tasks give the bits of the
+    level-by-level reference, in this process and in the pool."""
+
+    @pytest.mark.parametrize("force", ["serial", "pool"])
+    @pytest.mark.parametrize("n", [1, 300, 2000])
+    def test_equals_level_by_level(self, monkeypatch, small_model, n, force):
+        model, _ = small_model
+        sigmas = (0.0, 1.1, 3.0)
+        with monkeypatch.context() as m:
+            force_serial(m)
+            expected = reference_benchmark(model, n, sigmas, 19, 10)
+        with monkeypatch.context() as m:
+            force_serial(m) if force == "serial" else force_pool(m, any_size=True)
+            got = denoising_benchmark(model, n, sigmas, seed=19, n_realizations=10)
+        assert list(got) == list(expected) == [0.0, 1.1, 3.0]
+        for sigma in sigmas:
+            assert list(got[sigma]) == list(analysis.BENCH_METHODS)
+            for name, mean_std in expected[sigma].items():
+                assert np.array(got[sigma][name]).tobytes() == np.array(mean_std).tobytes()
         assert multiprocessing.active_children() == []
 
 

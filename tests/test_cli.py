@@ -378,6 +378,7 @@ class TestBench:
          " got '-1,0,1'"),
         ("--sigmas", "1.1", "--sigmas must be at least two distinct finite values"),
         ("--sigmas", "1,1", "--sigmas must be at least two distinct finite values"),
+        ("--sigmas", "1,1,2", "--sigmas must be at least two distinct finite values"),
         ("--sigmas", "0,nan", "--sigmas must be at least two distinct finite values"),
         ("--sigmas", "3:0:1", "bad sigma sweep '3:0:1'"),
     ])

@@ -216,27 +216,38 @@ class TestGridBits:
     same parameters, outputs and errors, with ties and NaN rows resolved by
     the first minimum of ``argmin``."""
 
-    def corpus(self):
-        truth, noisy = synthesize_corpus(SyntheticSpec(n=500, noise_sigma=1.1, seed=61))
-        noisy[0] = truth[0]  # zero error for the identity-most candidate
-        noisy[1], truth[1] = 0.0, 1.0  # every candidate outputs 0: all tie
-        noisy[2], truth[2] = 2.0, 2.0  # a constant the filters keep
-        noisy[4, 7] = np.nan  # every candidate's error is NaN
+    def corpus(self, n=500, at=0):
+        """Special rows from row ``at``."""
+        truth, noisy = synthesize_corpus(SyntheticSpec(n=n, noise_sigma=1.1, seed=61))
+        noisy[at] = truth[at]  # zero error for the identity-most candidate
+        noisy[at + 1], truth[at + 1] = 0.0, 1.0  # every candidate outputs 0: all tie
+        noisy[at + 2], truth[at + 2] = 2.0, 2.0  # a constant the filters keep
+        noisy[at + 4, 7] = np.nan  # every candidate's error is NaN
         return noisy, truth
 
-    @pytest.mark.parametrize("kind", ["MA", "EMA", "Butterworth"])
-    def test_tune_batch_bit_equal(self, kind):
-        noisy, truth = self.corpus()
+    def assert_bit_equal(self, kind, n, at):
+        noisy, truth = self.corpus(n, at)
         got = tune_batch(kind, noisy, truth)
         expected = reference_tune_batch(kind, noisy, truth)
         for g, e in zip(got, expected):
             assert g.shape == e.shape
             assert g.tobytes() == e.tobytes()
         first = {"MA": MA_GRID[0], "EMA": EMA_GRID[0], "Butterworth": CUTOFF_GRID[0]}[kind]
-        assert got[0][1] == first  # a tie goes to the least smoothing
-        assert got[2][1] == 1.0
-        assert got[0][4] == first  # argmin of an all-NaN column is its first entry
-        assert np.isnan(got[2][4])
+        assert got[0][at + 1] == first  # a tie goes to the least smoothing
+        assert got[2][at + 1] == 1.0
+        assert got[0][at + 4] == first  # argmin of an all-NaN column is its first entry
+        assert np.isnan(got[2][at + 4])
+
+    @pytest.mark.parametrize("kind", ["MA", "EMA", "Butterworth"])
+    def test_tune_batch_bit_equal(self, kind):
+        self.assert_bit_equal(kind, 500, 0)
+
+    @pytest.mark.parametrize("kind", ["MA", "EMA", "Butterworth"])
+    def test_special_rows_in_a_later_block(self, kind):
+        # every kind tunes 2500 rows in several blocks, the last one short (546
+        # rows each for MA, 156 for EMA, 66 for Butterworth); the special rows
+        # sit in a later block
+        self.assert_bit_equal(kind, 2500, 2200)
 
     def test_single_candidate_filters_bit_equal(self):
         noisy, _ = self.corpus()
