@@ -194,10 +194,9 @@ def _denoised_groups(model, mu, sigma, n_realizations: int, roots, finish):
     n = len(mu) // len(roots) if len(roots) else 0
     ranges = [slice(level * n + start, level * n + min(start + _NOISE_ROWS, n))
               for level in range(len(roots)) for start in range(0, n, _NOISE_ROWS)]
-    workers, _ = data._plan_rows(len(mu), _NOISE_ROWS,
-                                 pooled=len(mu) * n_realizations >= _POOL_MIN_SAMPLES)
+    pooled = len(mu) * n_realizations >= _POOL_MIN_SAMPLES
     shared = (model, mu, sigma, n_realizations, roots, _block_rows(model, n_realizations), finish)
-    with data._map_rows(_denoise_rows, shared, workers, ranges) as done:
+    with data._map_rows(_denoise_rows, shared, ranges, pooled) as done:
         yield zip(ranges, done)
 
 
@@ -460,6 +459,8 @@ def denoising_benchmark(
     every method, the three filters tuned on those rows alone. No
     ``(levels·n, d)`` array is held.
     """
+    if len(set(sigmas)) < len(sigmas):  # one result per level, keyed by sigma
+        raise ValueError(f"noise levels must not repeat, got {tuple(sigmas)}")
     rng = np.random.default_rng(seed)
     truth = vae_mod.sample_matrix(model, n, sigma_scale=1.0, rng=rng)
     unit_noise = rng.standard_normal(truth.shape)

@@ -488,46 +488,29 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _split_rows(n: int, parts: int, unit: int) -> list[slice]:
-    """At most ``parts`` contiguous ranges covering rows 0 to n, each a whole
-    number of ``unit``-row blocks (the last block may be short), with block
-    counts that differ by at most one."""
-    blocks = -(-n // unit)
-    parts = min(parts, blocks)
-    if parts == 0:
-        return []
-    edges = [min(n, unit * (blocks * i // parts)) for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _plan_rows(n: int, max_rows: int, *, pooled: bool) -> tuple[int, list[slice]]:
-    """How :func:`_map_rows` covers rows 0 to n: ``(workers, ranges)``.
-
-    ``workers`` is one per usable CPU, at most one per ``max_rows`` rows,
-    when ``pooled`` and a ``fork`` is safe; otherwise 1, this process alone.
-    The contiguous ``ranges`` are as equal as can be, hold at most about
-    ``max_rows`` rows each, and number a multiple of the workers so they
-    finish together.
-    """
-    workers = min(_usable_cpus(), -(-n // max_rows)) if pooled else 1
-    if workers < 2 or _fork_context() is None:
-        workers = 1
-    return workers, _split_rows(n, workers * -(-n // (workers * max_rows)), 1)
+def _split_rows(n: int, max_rows: int) -> list[slice]:
+    """The fewest contiguous ranges covering rows 0 to n with at most
+    ``max_rows`` rows each, their sizes differing by at most one."""
+    parts = -(-n // max_rows)
+    edges = [n * i // parts for i in range(1, parts + 1)]
+    return [slice(a, b) for a, b in zip([0, *edges], edges)]
 
 
 @contextmanager
-def _map_rows(func, shared, workers: int, ranges: list[slice]):
-    """Yield an iterator of ``func(shared, rows)`` over the row ranges
-    ``ranges``, in order, as planned by :func:`_plan_rows`.
+def _map_rows(func, shared, ranges: list[slice], pooled: bool):
+    """Yield an iterator of ``func(shared, rows)`` over the row ``ranges``,
+    in order.
 
-    With two or more ``workers`` and a ``fork`` still safe, ``func`` runs in
-    a pool of that many worker processes, which inherit ``func`` and
-    ``shared`` through ``fork``; only ranges and results are pickled.
-    Otherwise it runs lazily in this process, on the same ranges. A
-    worker's exception is raised from the iterator. When the ``with`` block
-    ends the workers skip the ranges not yet started and exit, unkilled: a
-    worker killed while it sends a result would leave the result queue locked.
+    When ``pooled``, ``func`` runs in a pool of one worker process per
+    usable CPU, at most one per range, if that makes two or more and a
+    ``fork`` is safe. The workers inherit ``func`` and ``shared`` through
+    ``fork``; only ranges and results are pickled. Otherwise ``func`` runs
+    lazily in this process, on the same ranges. A worker's exception is
+    raised from the iterator. When the ``with`` block ends the workers skip
+    the ranges not yet started and exit, unkilled: a worker killed while it
+    sends a result would leave the result queue locked.
     """
+    workers = min(_usable_cpus(), len(ranges)) if pooled else 1
     context = _fork_context() if workers > 1 else None
     if context is None:
         yield (func(shared, rows) for rows in ranges)
@@ -551,16 +534,16 @@ def write_table(path, header: str, *columns) -> None:
     text of a number in an output file. Floats are written in shortest
     round-trip form, byte for byte what ``repr`` prints, and NaN as an
     empty field; integers in decimal, bools as ``1``/``0``, strings as
-    they are. Rows are formatted in equal chunks of at most 4096 rows and
-    2^15 cells. Each chunk's numbers are turned into text by one numpy
-    kernel that fills one byte buffer; only values outside its domain (for
-    floats: zero, |x| < 1e-3 or >= 2^52, powers of two, inf) and strings
-    call ``repr`` or ``str`` one at a time.
+    they are. Rows are formatted in the fewest near-equal chunks of at
+    most 4096 rows and 2^15 cells. Each chunk's numbers are turned into
+    text by one numpy kernel that fills one byte buffer; only values
+    outside its domain (for floats: zero, |x| < 1e-3 or >= 2^52, powers of
+    two, inf) and strings call ``repr`` or ``str`` one at a time.
 
     Chunks are formatted on every usable core: a table of two or more
-    chunks and at least 2^18 cells is formatted by a ``fork`` pool of one
-    worker process per usable CPU, in a multiple of the workers' count of
-    chunks, and the chunk texts are written in row order. Smaller tables,
+    chunks and at least 2^18 cells is formatted by a ``fork`` pool, one
+    task per chunk, of one worker process per usable CPU and at most one
+    per chunk, and the chunk texts are written in row order. Smaller tables,
     single-CPU hosts, platforms without ``fork`` and processes running
     other threads format serially; the bytes are the same either way. An
     error in a worker is raised here and leaves no file behind.
@@ -573,9 +556,9 @@ def write_table(path, header: str, *columns) -> None:
         raise ValueError(
             f"{len(names)} column names for blocks of shapes {[b.shape for b in blocks]}"
         )
-    max_rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width))
-    plan = _plan_rows(n, max_rows, pooled=n * width >= _PARALLEL_MIN_CELLS)
-    with atomic_open(path, "wb") as fh, _map_rows(table_text, blocks, *plan) as texts:
+    ranges = _split_rows(n, max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width)))
+    pooled = n * width >= _PARALLEL_MIN_CELLS
+    with atomic_open(path, "wb") as fh, _map_rows(table_text, blocks, ranges, pooled) as texts:
         fh.write(f"{header}\n".encode())
         fh.writelines(texts)
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import atomic_open
+from .data import _split_rows, atomic_open
 from .nn import AdamState, Mlp, adam_step
 
 MODEL_MAGIC = b"IPVAE"
@@ -445,10 +445,9 @@ def sample_matrix(
     rng = np.random.default_rng(rng)
     z = sigma_scale * rng.standard_normal((n, model.latent_dim))
     out = np.empty((n, model.input_dim))
-    # blocks of 4096 rows; a leftover row joins the last (one row goes to gemv)
-    edges = [*range(0, max(n - 1, 1), 4096), n]
-    for start, stop in zip(edges, edges[1:]):
-        out[start:stop] = decode(model, z[start:stop])
+    # near-equal blocks: none is one row (which goes to gemv) unless n is 1
+    for rows in _split_rows(n, 4096):
+        out[rows] = decode(model, z[rows])
     return out
 
 

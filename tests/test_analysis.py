@@ -361,23 +361,27 @@ class TestPooledDenoise:
         assert peak < 1.5 * sum(out.nbytes for out in outs)
 
     def test_fork_unsafe_after_planning(self, monkeypatch, small_model, small_corpus):
-        """The ranges are planned for a pool. When a fork turns unsafe before
-        the pool starts, the same ranges are decoded in this process, with
-        the same bits."""
+        """A call of pooled size on 3 CPUs, where a fork is not safe, decodes
+        every group in this process, with the bits of a pooled call, and
+        starts no child."""
         model, _ = small_model
-        values = small_corpus[1][:3000]
-        fork_context, calls = data._fork_context, []
+        values = small_corpus[1][:3000]  # 3000 x 100 samples: a pooled size
+        with monkeypatch.context() as m:
+            force_pool(m, any_size=False)
+            expected = denoise_matrix(model, values, 100, rng=3)
+        parent, denoise_rows, decoded_here = os.getpid(), analysis._denoise_rows, []
 
-        def safe_once():
-            calls.append(None)
-            return fork_context() if len(calls) == 1 else None
+        def recorded(shared, rows):
+            decoded_here.append(os.getpid() == parent)
+            return denoise_rows(shared, rows)
 
         with monkeypatch.context() as m:
             m.setattr(data, "_usable_cpus", lambda: 3)
-            m.setattr(data, "_fork_context", safe_once)
+            m.setattr(data, "_fork_context", lambda: None)
+            m.setattr(analysis, "_denoise_rows", recorded)
             got = denoise_matrix(model, values, 100, rng=3)
-        assert len(calls) == 2
-        expected = denoise_matrix(model, values, 100, rng=3)
+        assert decoded_here == [True] * 12  # every 256-row group
+        assert multiprocessing.active_children() == []
         for e, g in zip(expected, got):
             assert g.tobytes() == e.tobytes()
 
@@ -444,6 +448,13 @@ class TestDenoisingBenchmark:
             for name, mean_std in expected[sigma].items():
                 assert np.array(got[sigma][name]).tobytes() == np.array(mean_std).tobytes()
         assert multiprocessing.active_children() == []
+
+
+    def test_repeated_sigma_raises(self, small_model):
+        # results are keyed by sigma: a repeat would keep one level's numbers
+        model, _ = small_model
+        with pytest.raises(ValueError, match="must not repeat"):
+            denoising_benchmark(model, 20, (1.0, 1.0, 2.0), seed=3, n_realizations=4)
 
 
 class TestSortedQuantiles:

@@ -537,6 +537,13 @@ class TestPooledWriter:
         assert np.array_equal(read_decays(tmp_path / "force_pool.csv").label, label,
                               equal_nan=True)
 
+    def test_zero_rows_write_the_header_alone(self, monkeypatch, tmp_path):
+        serial, pooled = serial_and_pooled_bytes(
+            monkeypatch, tmp_path,
+            lambda path: write_table(path, "# c\na,b", np.arange(0), np.ones(0)),
+        )
+        assert serial == pooled == b"# c\na,b\n"
+
     def test_small_table_stays_serial(self, monkeypatch, tmp_path):
         def no_pool():
             raise AssertionError("pool used for a small table")
@@ -569,42 +576,71 @@ class TestPooledWriter:
 
 
 def range_rows(shared, rows):
-    return rows.stop - rows.start
+    return rows.stop - rows.start, os.getpid()
+
+
+def count_fork_checks(m):
+    """Count the calls of ``data._fork_context``, which keeps its answer."""
+    fork_context, calls = data._fork_context, []
+
+    def counted():
+        calls.append(None)
+        return fork_context()
+
+    m.setattr(data, "_fork_context", counted)
+    return calls
 
 
 class TestRowRanges:
-    """Tables and denoising calls are cut into balanced row ranges."""
+    """Tables and denoising calls are cut into the fewest balanced row
+    ranges, and one pool runs them."""
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 4097, 12_289])
     @pytest.mark.parametrize("parts", [1, 2, 3, 6])
     @pytest.mark.parametrize("unit", [1, 8, 4096])
     def test_split_rows_balanced_whole_blocks(self, n, parts, unit):
-        ranges = data._split_rows(n, parts, unit)
-        assert len(ranges) == min(parts, -(-n // unit))
+        """At most ``parts`` blocks of ``unit`` rows per range: the fewest
+        such ranges, contiguous, their sizes within one of each other."""
+        max_rows = parts * unit
+        ranges = data._split_rows(n, max_rows)
+        assert len(ranges) == -(-n // max_rows)
         assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
         if n:
             assert ranges[0].start == 0 and ranges[-1].stop == n
-        assert all(r.start % unit == 0 for r in ranges)
-        blocks = [-(-(r.stop - r.start) // unit) for r in ranges]
-        assert max(blocks, default=0) - min(blocks, default=0) <= 1
+        sizes = [r.stop - r.start for r in ranges]
+        assert all(0 < size <= max_rows for size in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
     @pytest.mark.parametrize("n, cpus, sizes", [
         (4096, 2, [4096]),
         (4097, 2, [2048, 2049]),
         (12_289, 2, [3072, 3072, 3072, 3073]),
-        (12_289, 3, [2048, 2048, 2048, 2048, 2048, 2049]),
+        (12_289, 3, [3072, 3072, 3072, 3073]),
     ])
     def test_pooled_table_in_equal_ranges(self, monkeypatch, n, cpus, sizes):
+        """One task per range, on one worker per CPU and at most one per
+        range, after one fork check; a single range runs here, unchecked."""
         monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-        plan = data._plan_rows(n, data._CHUNK_ROWS, pooled=True)
-        with data._map_rows(range_rows, None, *plan) as results:
-            assert list(results) == sizes
+        checks = count_fork_checks(monkeypatch)
+        ranges = data._split_rows(n, data._CHUNK_ROWS)
+        with data._map_rows(range_rows, None, ranges, pooled=True) as results:
+            got, pids = zip(*results)
+        assert list(got) == sizes
+        workers = min(cpus, len(sizes))
+        assert len(checks) == (workers > 1)
+        if workers > 1:
+            assert os.getpid() not in pids and len(set(pids)) <= workers
+        else:
+            assert set(pids) == {os.getpid()}
         assert multiprocessing.active_children() == []
 
-    def test_serial_table_in_equal_ranges(self):
-        plan = data._plan_rows(4097, data._CHUNK_ROWS, pooled=False)
-        with data._map_rows(range_rows, None, *plan) as results:
-            assert list(results) == [2048, 2049]
+    def test_serial_table_in_equal_ranges(self, monkeypatch):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        checks = count_fork_checks(monkeypatch)
+        ranges = data._split_rows(4097, data._CHUNK_ROWS)
+        with data._map_rows(range_rows, None, ranges, pooled=False) as results:
+            assert list(results) == [(2048, os.getpid()), (2049, os.getpid())]
+        assert checks == []
 
 
 class TestPooledAtomicOutputs:

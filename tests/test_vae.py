@@ -326,8 +326,9 @@ class TestSample:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4096, 4097, 8193, 20_000])
     def test_blocks_equal_one_decode(self, small_model, n):
-        """Decoded in 4096-row blocks, a leftover row joining the last
-        block: the bits of one decode of the whole draw."""
+        """Decoded in the fewest near-equal blocks of at most 4096 rows,
+        never one row alone above n = 1: the bits of one decode of the
+        whole draw."""
         model, _ = small_model
         z = np.random.default_rng(14).standard_normal((n, model.latent_dim))
         assert sample_matrix(model, n, 1.0, rng=14).tobytes() == decode(model, z).tobytes()
