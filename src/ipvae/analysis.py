@@ -138,10 +138,6 @@ def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
     return out
 
 
-# Multiply-adds of the largest decoder product of one decode block. OpenBLAS
-# runs a gemm with m*n*k <= 65 536 * 4 on the calling thread, so a block of
-# this size never starts BLAS threads, which a pool worker cannot use.
-_BLOCK_MULTIPLY_ADDS = 2**18
 # Samples (rows x realizations) from which denoise_matrix decodes in a
 # process pool; bench's 2k-row sweep calls at R=100 stay below it.
 _POOL_MIN_SAMPLES = 2**18
@@ -149,13 +145,6 @@ _POOL_MIN_SAMPLES = 2**18
 # noise from its own stream and is decoded and finished as one task, so a
 # row's noise and result depend on neither the pool nor the rows after it.
 _NOISE_ROWS = 256
-
-
-def _block_rows(model: VaeModel, n_realizations: int) -> int:
-    """Rows per decode block: all realizations of the block's rows pass the
-    decoder's widest layer in at most _BLOCK_MULTIPLY_ADDS multiply-adds."""
-    widest = max(w.size for w, _ in model.decoder.layers)
-    return max(1, _BLOCK_MULTIPLY_ADDS // (n_realizations * widest))
 
 
 def _denoise_rows(shared, rows: slice):
@@ -195,7 +184,8 @@ def _denoised_groups(model, mu, sigma, n_realizations: int, roots, finish):
     ranges = [slice(level * n + start, level * n + min(start + _NOISE_ROWS, n))
               for level in range(len(roots)) for start in range(0, n, _NOISE_ROWS)]
     pooled = len(mu) * n_realizations >= _POOL_MIN_SAMPLES
-    shared = (model, mu, sigma, n_realizations, roots, _block_rows(model, n_realizations), finish)
+    block = vae_mod._block_rows(model.decoder.layers, n_realizations)
+    shared = (model, mu, sigma, n_realizations, roots, block, finish)
     with data._map_rows(_denoise_rows, shared, ranges, pooled) as done:
         yield zip(ranges, done)
 
@@ -223,12 +213,13 @@ def denoise_matrix(
     rows of a call get the noise of a call on those m rows alone, and
     results depend neither on the block size nor on the pool.
 
-    The rows are encoded here, whole. Each group is one task, decoded in
-    blocks whose R samples pass the decoder's widest layer in at most 2^18
-    multiply-adds (8 rows for the default model at R=100), which OpenBLAS
-    runs on the calling thread; a block's noise is drawn as it is decoded,
-    so memory does not grow with R. From 2^18 samples (n·R) on, a ``fork``
-    pool decodes the groups on every usable core; only results come back.
+    The rows are encoded here, in :func:`vae.encode`'s blocks. Each group
+    is one task, decoded in blocks whose R samples pass the decoder's widest
+    layer in at most 2^18 multiply-adds (8 rows for the default model at
+    R=100), which OpenBLAS runs on the calling thread; a block's noise is
+    drawn as it is decoded, so memory does not grow with R. From 2^18
+    samples (n·R) on, a ``fork`` pool decodes the groups on every usable
+    core; only results come back.
     """
     root = np.random.default_rng(rng).integers(2**63, size=2)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))

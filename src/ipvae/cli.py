@@ -125,8 +125,8 @@ def cmd_train(args) -> int:
         latent_dim=args.latent,
         standardize=not args.no_standardize,
     )
-    corpus = data_mod.read_decays(args.corpus)
-    model, curve = vae_mod.train_new(corpus.values, config)
+    values = data_mod.read_decays(args.corpus).values
+    model, curve = vae_mod.train_new(values, config)
     out = _out_dir(args)
     model_path = os.path.join(out, "model.ipvae")
     vae_mod.save(model, model_path)
@@ -273,10 +273,8 @@ def cmd_sweep(args) -> int:
         replace(config, latent_dim=k)  # validates each width before any I/O
     _require(len(set(ks)) == len(ks), "--ks", "distinct widths", args.ks)
     _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
-    corpus = data_mod.read_decays(args.corpus)
-    rows, models = analysis.latent_sweep(
-        corpus.values, ks, config, n_realizations=args.realizations
-    )
+    values = data_mod.read_decays(args.corpus).values
+    rows, models = analysis.latent_sweep(values, ks, config, n_realizations=args.realizations)
     out = _out_dir(args)
     for model in models:
         vae_mod.save(model, os.path.join(out, f"model_k{model.latent_dim}.ipvae"))

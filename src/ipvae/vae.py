@@ -206,6 +206,30 @@ def _unstandardize(model: VaeModel, x: np.ndarray) -> np.ndarray:
     return x * model.input_scale + model.input_offset
 
 
+# Multiply-adds of the widest product of one forward block. OpenBLAS runs a
+# gemm with m*n*k <= 65 536 * 4 on the calling thread; a larger one starts
+# its threads, whose packing buffers stay resident and which a pool worker
+# cannot use. Every encoder and decoder pass runs in blocks of this size.
+_BLOCK_MULTIPLY_ADDS = 2**18
+
+
+def _block_rows(layers: list[tuple[np.ndarray, np.ndarray]], samples: int = 1) -> int:
+    """Rows per forward block: the ``samples`` per row of a block's rows pass
+    the widest of the (W, b) ``layers`` in at most _BLOCK_MULTIPLY_ADDS
+    multiply-adds (at least one row)."""
+    widest = max(w.size for w, _ in layers)
+    return max(1, _BLOCK_MULTIPLY_ADDS // (samples * widest))
+
+
+def _row_blocks(n: int, layers: list[tuple[np.ndarray, np.ndarray]]) -> list[slice]:
+    """The fewest near-equal blocks of rows 0 to n, one sample per row, of at
+    most ``_block_rows(layers)`` rows: 819 for the default model. The bound
+    is at least 3, so no block is one row unless n is 1 (near-equal blocks
+    of at most 2 rows cut 3 rows as 1 + 2): a one-row product goes through
+    gemv, whose sums round differently from gemm's."""
+    return _split_rows(n, max(3, _block_rows(layers)))
+
+
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -219,14 +243,18 @@ def encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior parameters (mu, sigma) for raw decay values x.
 
     Deterministic; sigma = exp(logvar/2) is strictly positive. Accepts a
-    single decay (d,) or a batch (n, d).
+    single decay (d,) or a batch (n, d), which is encoded in the blocks of
+    :func:`_row_blocks`, with the bits of one pass over the whole batch.
     """
     x, single = _as_batch(x, model.input_dim, "input")
-    h = model.encoder.forward(_standardize(model, x))
     (w_mu, b_mu), (w_lv, b_lv) = model.mu_head, model.logvar_head
-    mu = h @ w_mu.T + b_mu
-    logvar = h @ w_lv.T + b_lv
-    sigma = np.exp(0.5 * logvar)
+    mu = np.empty((len(x), model.latent_dim))
+    sigma = np.empty_like(mu)
+    layers = [*model.encoder.layers, model.mu_head, model.logvar_head]
+    for rows in _row_blocks(len(x), layers):
+        h = model.encoder.forward(_standardize(model, x[rows]))
+        mu[rows] = h @ w_mu.T + b_mu
+        sigma[rows] = np.exp(0.5 * (h @ w_lv.T + b_lv))
     if single:
         return mu[0], sigma[0]
     return mu, sigma
@@ -445,8 +473,7 @@ def sample_matrix(
     rng = np.random.default_rng(rng)
     z = sigma_scale * rng.standard_normal((n, model.latent_dim))
     out = np.empty((n, model.input_dim))
-    # near-equal blocks: none is one row (which goes to gemv) unless n is 1
-    for rows in _split_rows(n, 4096):
+    for rows in _row_blocks(n, model.decoder.layers):
         out[rows] = decode(model, z[rows])
     return out
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ipvae import analysis, data
+from ipvae import analysis, data, nn
 from ipvae import filters as flt
 from ipvae import vae as vae_mod
 from ipvae.analysis import (
@@ -198,7 +198,7 @@ class TestBlockedDenoise:
                                          realizations, rows):
         model, _ = small_model
         _, decays = small_corpus
-        block = analysis._block_rows(model, realizations)
+        block = vae_mod._block_rows(model.decoder.layers, realizations)
         n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1, "g+1": 257,
              "1000": 1000}[rows]
         old_rng, new_rng = np.random.default_rng(17), np.random.default_rng(17)
@@ -268,6 +268,30 @@ class TestBlockedDenoise:
         # the whole (n, R, K) noise of R=400 would hold 9.6 MB more than R=100's
         assert peaks[1] - peaks[0] < 2 * 2**20
 
+    def test_no_product_above_the_block_rule(self, monkeypatch, small_model, small_corpus):
+        """No encoder or decoder layer product of a 20k-row call has more
+        than 2^18 multiply-adds, the most OpenBLAS runs on the calling
+        thread. The latent heads (8 -> K) are narrower than the layers
+        counted here."""
+        model, _ = small_model
+        values = small_corpus[1]
+        products, dense = [], nn._dense
+
+        def counted(x, w, b, tanh):
+            products.append(len(x) * w.size)
+            return dense(x, w, b, tanh)
+
+        monkeypatch.setattr(nn, "_dense", counted)
+        force_serial(monkeypatch)  # every product is counted in this process
+        for call in (lambda: vae_mod.encode(model, values),
+                     lambda: sample_matrix(model, 20_000, 1.0, rng=1),
+                     lambda: denoise_matrix(model, values, 100, rng=2),
+                     lambda: denoising_benchmark(model, 20_000, (1.0,), seed=3,
+                                                 n_realizations=2)):
+            products.clear()
+            call()
+            assert products and max(products) <= vae_mod._BLOCK_MULTIPLY_ADDS
+
 
 def force_serial(m):
     m.setattr(data, "_usable_cpus", lambda: 1)
@@ -306,7 +330,7 @@ class TestPooledDenoise:
                                   realizations, rows, any_size):
         model, _ = small_model
         _, decays = small_corpus
-        block = analysis._block_rows(model, realizations)
+        block = vae_mod._block_rows(model.decoder.layers, realizations)
         n = {"1": 1, "b-1": block - 1, "b": block, "b+1": block + 1, "g+1": 257,
              "1000": 1000, "20001": 20_001}[rows]
         values = np.concatenate([decays, decays[:1]])[:n]
@@ -336,7 +360,8 @@ class TestPooledDenoise:
         model, _ = small_model
         values = small_corpus[1]
         assert len(values) == 20_000
-        m = {"2": 2, "b-1": analysis._block_rows(model, 100) - 1, "1000": 1000}[rows]
+        block = vae_mod._block_rows(model.decoder.layers, 100)
+        m = {"2": 2, "b-1": block - 1, "1000": 1000}[rows]
         with monkeypatch.context() as mp:
             force_pool(mp, any_size=False)
             whole = denoise_matrix(model, values, 100, rng=11)
@@ -388,9 +413,12 @@ class TestPooledDenoise:
     def test_block_rows_from_model(self, small_model):
         model, _ = small_model
         # widest decoder layer 16 -> 20: 2**18 // (100 * 320) rows at R=100
-        assert analysis._block_rows(model, 100) == 8
-        assert analysis._block_rows(model, 2) == 409
-        assert analysis._block_rows(model, 10**6) == 1
+        assert vae_mod._block_rows(model.decoder.layers, 100) == 8
+        assert vae_mod._block_rows(model.decoder.layers, 2) == 409
+        assert vae_mod._block_rows(model.decoder.layers, 10**6) == 1
+        # one sample per row through the 20 -> 16 encoder layer: 2**18 // 320
+        encoder = [*model.encoder.layers, model.mu_head, model.logvar_head]
+        assert vae_mod._block_rows(encoder) == 819
 
     def test_worker_error_reaches_caller(self, monkeypatch, small_model, small_corpus):
         model, _ = small_model

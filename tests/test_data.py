@@ -743,21 +743,27 @@ class TestBulkReader:
             read_decays(path)
 
     def test_window_columns_copied_once(self):
-        """The window columns, in any order in the file, are picked into one
-        C-contiguous copy that DecaySet keeps as it is, and no column is a
-        view that keeps the parsed table alive."""
+        """The window columns, in any order in the file, are moved to the
+        front of the parsed table, row block by row block, and the table
+        shrinks to them: DecaySet keeps the table itself as its values, so
+        no second (n, d) array is made, and no column is a view."""
         columns = [f"m{j}" for j in range(20, 0, -1)] + list(data._META_COLUMNS)
-        table = np.random.default_rng(19).uniform(1.0, 50.0, (20_000, len(columns)))
-        tracemalloc.start()
-        try:
-            decays = data._decay_set(table, columns, data.DEFAULT_SCHEME)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(decays.values, table[:, 19::-1])
-        assert np.array_equal(decays.label, table[:, -1])
-        assert all(getattr(decays, name).base is None for name in data._META_COLUMNS[1:])
-        assert peak < 1.5 * decays.values.nbytes
+        for n in (1, 2, 26_214, 26_215, 60_000):  # blocks of 2**19 // 20 rows
+            table = np.random.default_rng(19).uniform(1.0, 50.0, (n, len(columns)))
+            expected = table.copy()
+            tracemalloc.start()
+            try:
+                decays = data._decay_set(table, columns, data.DEFAULT_SCHEME)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert decays.values is table and table.base is None
+            assert table.shape == (n, 20) and table.flags.c_contiguous
+            assert np.array_equal(decays.values, expected[:, 19::-1])
+            assert np.array_equal(decays.label, expected[:, -1])
+            assert all(getattr(decays, name).base is None for name in data._META_COLUMNS[1:])
+            if n > 2:  # below that, fixed overheads outweigh the rows
+                assert peak < 1.5 * decays.values.nbytes
 
 
 class TestSynthesizeCorpus:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ipvae import vae as vae_mod
 from ipvae.vae import (
     MODEL_HEADER,
     ModelDimensionError,
@@ -75,6 +76,34 @@ class TestEncode:
     def test_dimension_mismatch(self, toy_model):
         with pytest.raises(ValueError, match="dim"):
             encode(toy_model, np.ones(19))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 819, 820, 1639, 20_000])
+    def test_blocks_equal_one_pass(self, small_model, small_corpus, n):
+        """Encoded in the fewest near-equal blocks of at most 819 rows (2^18
+        multiply-adds through the 20 -> 16 first layer), never one row alone
+        above n = 1: the bits of one pass over the whole batch."""
+        model, _ = small_model
+        x = small_corpus[1][:n]
+        assert len(x) == n
+        h = model.encoder.forward((x - model.input_offset) / model.input_scale)
+        (w_mu, b_mu), (w_lv, b_lv) = model.mu_head, model.logvar_head
+        mu, sigma = encode(model, x)
+        assert mu.shape == sigma.shape == (n, model.latent_dim)
+        assert mu.tobytes() == (h @ w_mu.T + b_mu).tobytes()
+        assert sigma.tobytes() == np.exp(0.5 * (h @ w_lv.T + b_lv)).tobytes()
+
+    @pytest.mark.parametrize("widest", [320, 2**17, 2**18, 2**20])
+    def test_row_blocks_never_one_row(self, widest):
+        """The fewest near-equal blocks of at most 2^18 // widest rows, or of
+        3 rows where that is less: no block is one row unless n is 1."""
+        layers = [(np.empty((1, widest)), np.empty(1))]
+        bound = max(3, 2**18 // widest)
+        for n in [*range(0, 50), 819, 820, 1639, 20_000]:
+            blocks = vae_mod._row_blocks(n, layers)
+            sizes = [b.stop - b.start for b in blocks]
+            assert [b.start for b in blocks] == list(np.cumsum([0, *sizes])[:-1])
+            assert sum(sizes) == n and len(blocks) == -(-n // bound)
+            assert all(size >= 2 for size in sizes) or n == 1
 
 
 class TestReparametrize:
@@ -324,11 +353,11 @@ class TestSample:
         model, _ = small_model
         assert sample_matrix(model, 5, rng=13).shape == (5, model.input_dim)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 4096, 4097, 8193, 20_000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 819, 820, 1639, 4096, 4097, 8193, 20_000])
     def test_blocks_equal_one_decode(self, small_model, n):
-        """Decoded in the fewest near-equal blocks of at most 4096 rows,
-        never one row alone above n = 1: the bits of one decode of the
-        whole draw."""
+        """Decoded in the fewest near-equal blocks of at most 819 rows (2^18
+        multiply-adds through the 16 -> 20 last layer), never one row alone
+        above n = 1: the bits of one decode of the whole draw."""
         model, _ = small_model
         z = np.random.default_rng(14).standard_normal((n, model.latent_dim))
         assert sample_matrix(model, n, 1.0, rng=14).tobytes() == decode(model, z).tobytes()
