@@ -138,8 +138,9 @@ def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
     return out
 
 
-# Samples (rows x realizations) from which denoise_matrix decodes in a
-# process pool; bench's 2k-row sweep calls at R=100 stay below it.
+# Samples (rows x realizations, over every level of one call) from which
+# the denoising groups are decoded in a process pool: a 2k-row denoise at
+# R=100 stays below it, bench's 7-level sweep (1.4M samples) does not.
 _POOL_MIN_SAMPLES = 2**18
 # Rows per noise group: group g holds rows 256g to 256g+255, draws their
 # noise from its own stream and is decoded and finished as one task, so a
@@ -204,7 +205,8 @@ def denoise_matrix(
     quantiles over ``n_realizations`` encode-sample-decode passes, (n, d)
     each. A caller that keeps less passes ``finish(rows, median, ci_low,
     ci_high)``, run where group ``rows`` is decoded, and gets the list of
-    its results in row order, or of ``take(rows, result)`` run here on each.
+    its results in row order, or of ``take(rows, result)`` run here on each;
+    a ``take`` without a ``finish`` is an error.
 
     ``rng`` gives one root entropy, ``rng.integers(2**63, size=2)``, for any
     n and R. The rows are cut into groups of 256 from row 0; group g draws
@@ -221,6 +223,8 @@ def denoise_matrix(
     samples (n·R) on, a ``fork`` pool decodes the groups on every usable
     core; only results come back.
     """
+    if take and not finish:
+        raise ValueError("take needs a finish to take the results of")
     root = np.random.default_rng(rng).integers(2**63, size=2)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n, d = values.shape
@@ -279,6 +283,7 @@ def survey_snr_histogram(
         raise ValueError("empty decay set")
     if bin_width_db <= 0:
         raise ValueError(f"bin_width_db must be > 0, got {bin_width_db}")
+    data_range(values)  # a constant decay is rejected before any denoising
     snrs = np.concatenate(denoise_matrix(
         model, values, n_realizations, rng, lambda rows, med, lo, hi: peak_snr(values[rows], med)))
     finite = snrs[np.isfinite(snrs)]
@@ -331,6 +336,15 @@ def density_chart(
         grid[:, j] = np.bincount(idx, minlength=bins)
     grid /= n
     return DensityChart(grid=grid, amplitude_range=(float(lo), float(hi)), bins=bins)
+
+
+def model_chart(model: VaeModel, n: int, corpus_chart: DensityChart,
+                rng: np.random.Generator | int) -> DensityChart:
+    """The density chart of n decays decoded from prior draws (sigma scale
+    1), on ``corpus_chart``'s range and bins; the (n, d) sample is freed
+    when this returns."""
+    return density_chart(vae_mod.sample_matrix(model, n, sigma_scale=1.0, rng=rng),
+                         corpus_chart.bins, corpus_chart.amplitude_range)
 
 
 def dlc_difference(a: DensityChart, b: DensityChart) -> float:
@@ -386,15 +400,16 @@ def latent_sweep(
     Each row reports the converged loss terms, the training-set mean peak
     S/N and RMSE of the median reconstructions, and the density-chart
     difference between a fresh prior-sampled population (same size as the
-    corpus) and the corpus itself. A divergence names the width in its
-    message.
+    corpus, see :func:`model_chart`) and the corpus itself. A divergence
+    names the width in its message; a constant decay is rejected before the
+    first width trains.
     """
     if config is None:
         config = TrainConfig(seed=0)
     if values.shape[0] == 0:
         raise ValueError("corpus must be non-empty")
-    corpus_range = density_range(values)
-    corpus_chart = density_chart(values, amplitude_range=corpus_range)
+    data_range(values)  # a constant decay is rejected before any training
+    corpus_chart = density_chart(values)
     rows: list[SweepRow] = []
     models: list[VaeModel] = []
     for k in ks:
@@ -407,20 +422,11 @@ def latent_sweep(
         errs, snrs = map(np.concatenate, zip(*denoise_matrix(
             model, values, n_realizations, config.seed,
             lambda rows, med, lo, hi: (rmse(values[rows], med), peak_snr(values[rows], med)))))
-        generated = vae_mod.sample_matrix(
-            model, values.shape[0], sigma_scale=1.0, rng=config.seed + 1
-        )
-        gen_chart = density_chart(generated, amplitude_range=corpus_range)
-        rows.append(
-            SweepRow(
-                latent_dim=k,
-                nll=nll,
-                kl=kl,
-                train_snr_db=float(np.mean(snrs[np.isfinite(snrs)])),
-                train_rmse=float(np.mean(errs)),
-                dlc_diff=dlc_difference(gen_chart, corpus_chart),
-            )
-        )
+        dlc = dlc_difference(model_chart(model, len(values), corpus_chart, config.seed + 1),
+                             corpus_chart)
+        rows.append(SweepRow(latent_dim=k, nll=nll, kl=kl,
+                             train_snr_db=float(np.mean(snrs[np.isfinite(snrs)])),
+                             train_rmse=float(np.mean(errs)), dlc_diff=dlc))
         models.append(model)
     return rows, models
 

@@ -313,17 +313,9 @@ def cmd_report(args) -> int:
     )
     mu, _ = vae_mod.encode(model, values)
     m_bar = data_mod.average_chargeability(values)
-    amplitude_range = analysis.density_range(values)
-    corpus_chart = analysis.density_chart(
-        values, bins=args.bins, amplitude_range=amplitude_range
-    )
-    generated = vae_mod.sample_matrix(
-        model, len(values), sigma_scale=1.0, rng=args.seed + 1
-    )
-    model_chart = analysis.density_chart(
-        generated, bins=args.bins, amplitude_range=amplitude_range
-    )
-    dlc = analysis.dlc_difference(model_chart, corpus_chart)
+    corpus_chart = analysis.density_chart(values, bins=args.bins)
+    gen_chart = analysis.model_chart(model, len(values), corpus_chart, args.seed + 1)
+    dlc = analysis.dlc_difference(gen_chart, corpus_chart)
     corr = analysis.latent_chargeability_correlation(mu, values)
 
     # every result is computed before the first file is written, so a
@@ -343,7 +335,7 @@ def cmd_report(args) -> int:
                   "avg_chargeability_mv_per_v"]),
         np.arange(len(values)), mu, m_bar,
     )
-    for name, chart in (("density_corpus", corpus_chart), ("density_model", model_chart)):
+    for name, chart in (("density_corpus", corpus_chart), ("density_model", gen_chart)):
         lo, hi = chart.amplitude_range
         width = (hi - lo) / chart.bins
         edges = lo + np.arange(chart.bins + 1) * width
@@ -361,7 +353,7 @@ def cmd_report(args) -> int:
             "n_infinite_peak_snr": hist.inf_count,
             "dlc_difference": dlc,
             "latent_chargeability_r": list(corr),
-            "amplitude_range_mv_per_v": list(amplitude_range),
+            "amplitude_range_mv_per_v": list(corpus_chart.amplitude_range),
         },
     )
     _echo_config(out, "report", args)

@@ -157,6 +157,17 @@ class TestDenoise:
         assert np.all(strict.outlier)
         assert np.array_equal(res.outlier, res.rmse > 1.0)
 
+    def test_take_without_finish_rejected(self, small_model, small_corpus):
+        """``take`` receives what ``finish`` returns; without a finish it
+        has nothing of the caller's to take, so the call is refused rather
+        than filling the default outputs instead."""
+        model, _ = small_model
+        taken = []
+        with pytest.raises(ValueError, match="take needs a finish"):
+            denoise_matrix(model, small_corpus[1][:10], 5, rng=3,
+                           take=lambda rows, result: taken.append(rows))
+        assert taken == []
+
 
 def unblocked_denoise_matrix(model, values, n_realizations, rng):
     """The pre-blocking denoise_matrix: one root draw from ``rng``, each
@@ -534,6 +545,18 @@ class TestSurveyHistogram:
         with pytest.raises(ValueError):
             survey_snr_histogram(np.empty((0, 20)), model)
 
+    def test_constant_decay_rejected_before_denoising(self, monkeypatch, small_model,
+                                                      small_corpus):
+        model, _ = small_model
+        values = small_corpus[1][:3000].copy()
+        values[2900] = 5.0  # last group: a per-group check meets it after the others
+
+        def never(*args, **kwargs):
+            raise AssertionError("denoised before the corpus was checked")
+        monkeypatch.setattr(analysis, "denoise_matrix", never)
+        with pytest.raises(ValueError, match=r"constant input \(zero range\)"):
+            survey_snr_histogram(values, model, n_realizations=10, rng=3)
+
 
 class TestDensityChart:
     def test_columns_sum_to_one(self, small_corpus):
@@ -584,6 +607,23 @@ class TestDensityChart:
             tracemalloc.stop()
         assert chart.grid.tobytes() == expected.tobytes()
         assert peak < values.nbytes / 4
+
+
+class TestModelChart:
+    @pytest.mark.parametrize("bins", [1, 37, 100])
+    def test_bit_equal_to_chart_of_sample(self, small_model, small_corpus, bins):
+        """The chart of the sample ``sample_matrix`` draws, on the corpus
+        chart's range and bins, and a shared generator left as that draw
+        leaves it."""
+        model, _ = small_model
+        corpus_chart = density_chart(small_corpus[1][:5000], bins=bins)
+        rng, expected_rng = np.random.default_rng(7), np.random.default_rng(7)
+        chart = analysis.model_chart(model, 3000, corpus_chart, rng)
+        expected = density_chart(sample_matrix(model, 3000, sigma_scale=1.0, rng=expected_rng),
+                                 bins, corpus_chart.amplitude_range)
+        assert chart.grid.tobytes() == expected.grid.tobytes()
+        assert (chart.amplitude_range, chart.bins) == (corpus_chart.amplitude_range, bins)
+        assert same_state(rng.bit_generator.state, expected_rng.bit_generator.state)
 
 
 class TestLatentCorrelation:
@@ -650,6 +690,30 @@ class TestLatentSweep:
         for r in rows:
             for value in (r.nll, r.kl, r.train_snr_db, r.train_rmse, r.dlc_diff):
                 assert np.isfinite(value)
+
+    def test_no_model_sample_outlives_its_chart(self, monkeypatch, small_corpus):
+        """Serial and in process, a two-width sweep of 20k decays peaks below
+        twice their values: one width's (n, d) model sample lives only while
+        it is binned, never beside the next width's."""
+        values = small_corpus[1]
+        force_serial(monkeypatch)
+        tracemalloc.start()
+        try:
+            latent_sweep(values, ks=(1, 2), config=TrainConfig(seed=3), n_realizations=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * values.nbytes
+
+    def test_constant_decay_rejected_before_training(self, monkeypatch, small_corpus):
+        values = small_corpus[1][:2000].copy()
+        values[1999] = 5.0
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained before the corpus was checked")
+        monkeypatch.setattr(vae_mod, "train_new", never)
+        with pytest.raises(ValueError, match=r"constant input \(zero range\)"):
+            latent_sweep(values, ks=(1,), config=TrainConfig(seed=3), n_realizations=5)
 
     def test_error_annotated_with_k(self, small_corpus):
         _, noisy = small_corpus

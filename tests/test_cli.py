@@ -73,6 +73,16 @@ def pipeline(tmp_path_factory):
     return root
 
 
+def with_constant_decay(pipeline, tmp_path):
+    """The pipeline corpus with one decay, in its second noise group, made
+    constant; returns the path of the copy."""
+    values = data.read_decays(pipeline / "synth" / "contaminated.csv").values
+    values[300] = 5.0
+    corpus = tmp_path / "constant.csv"
+    data.write_decays(data.DecaySet(values), corpus)
+    return corpus
+
+
 class TestSynth:
     def test_byte_identical_reruns(self, tmp_path):
         for d in ("a", "b"):
@@ -431,6 +441,17 @@ class TestSweep:
                    "--seed", 5, "--out", tmp_path / "out") == 4
         assert_rejected_early(capsys, tmp_path / "out", "K=1: training diverged at step")
 
+    def test_constant_decay_rejected_before_training(self, pipeline, tmp_path, capsys,
+                                                     monkeypatch):
+        corpus = with_constant_decay(pipeline, tmp_path)
+        trained = []
+        monkeypatch.setattr(vae, "train_new", lambda *a, **k: trained.append(a))
+        assert run("sweep", "--corpus", corpus, "--ks", "1,2", "--realizations", 5,
+                   "--seed", 5, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              "peak S/N is undefined for a constant input (zero range)")
+        assert trained == []
+
     def test_default_ks(self, pipeline, tmp_path):
         corpus = pipeline / "synth" / "contaminated.csv"
         assert run("sweep", "--corpus", corpus, "--realizations", 5,
@@ -488,6 +509,23 @@ class TestReport:
                    "--out", tmp_path / "out") == 3
         assert_rejected_early(capsys, tmp_path / "out",
                               "need at least 3 decays for a correlation")
+
+    def test_constant_decay_rejected_before_denoising(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        corpus = with_constant_decay(pipeline, tmp_path)
+        denoise_rows, decoded = analysis._denoise_rows, []
+
+        def recorded(shared, rows):
+            decoded.append(rows)
+            return denoise_rows(shared, rows)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)  # every group decoded here
+        monkeypatch.setattr(analysis, "_denoise_rows", recorded)
+        assert run("report", "--model", pipeline / "train" / "model.ipvae",
+                   "--corpus", corpus, "--realizations", 10, "--seed", 8,
+                   "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              "peak S/N is undefined for a constant input (zero range)")
+        assert decoded == []
 
     def test_reproducible(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"
