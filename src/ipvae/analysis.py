@@ -114,25 +114,38 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
 
 
-def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
-    """``np.quantile(s, q, axis=-1)`` for each q in [0, 1), bit for bit, from
-    ``s`` already sorted along its last axis of length R >= 2.
+def _linear_rule(count: int, q: float) -> tuple[int, int, float]:
+    """Where numpy's default ``linear`` rule takes quantile q of ``count``
+    sorted values: the ranks of the two values it interpolates between and
+    the weight gamma of the second. The virtual index q·(count − 1) splits
+    into its floor and fractional part; from the last rank on, numpy takes
+    the last value twice, at index −1, so gamma is the virtual index + 1."""
+    virtual = (count - 1) * q
+    if virtual >= count - 1:
+        return count - 1, count - 1, virtual + 1
+    below = math.floor(virtual)
+    return below, below + 1, virtual - below
 
-    Reproduces numpy's default ``linear`` rule: virtual index q·(R−1), its
-    floor and fractional part gamma, numpy's two-branch ``_lerp``, and NaN
-    wherever a slice holds one (NaN sorts last).
+
+def _lerp(a, b, gamma: float):
+    """numpy's two-branch ``_lerp`` from a to b at gamma, which rounds
+    differently on each side of 0.5."""
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
+    """``np.quantile(s, q, axis=-1)`` for each q in [0, 1], bit for bit, from
+    ``s`` already sorted along its last axis: numpy's ``linear`` rule (see
+    :func:`_linear_rule`), its ``_lerp``, and NaN wherever a slice holds one
+    (NaN sorts last).
     """
-    r = s.shape[-1]
     last = s[..., -1]
     nan = np.isnan(last)
     out = []
     for q in qs:
-        virtual = (r - 1) * q
-        below = math.floor(virtual)
-        gamma = virtual - below
-        a, b = s[..., below], s[..., below + 1]
-        diff = b - a
-        res = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+        i, j, gamma = _linear_rule(s.shape[-1], q)
+        res = _lerp(s[..., i], s[..., j], gamma)
         np.copyto(res, last, where=nan)
         out.append(res)
     return out
@@ -302,13 +315,97 @@ def survey_snr_histogram(
     return SnrHistogram(bin_edges=edges, counts=counts, inf_count=inf_count)
 
 
+# Values per block of density_range's counting pass, and about how many
+# values the sample its brackets come from holds
+_RANGE_BLOCK = 2**15
+_RANGE_SAMPLE = 4096
+
+
+def _order_statistics(table: np.ndarray, spans: list[tuple[int, int]]) -> list[np.ndarray] | None:
+    """The values of ranks i to j, for each (i, j) in ``spans``, of the
+    sorted values of the (n, d) ``table``, or None if it holds a NaN, with
+    no copy of the table.
+
+    Each span is bracketed by two values of a sorted sample of every
+    ``n // (_RANGE_SAMPLE // d)``-th row, 16 sample places beyond where its
+    ranks fall. One pass in blocks of ``_RANGE_BLOCK`` values counts the
+    values below each bracket and keeps those inside it, which one
+    ``np.partition`` orders at the span's ranks. A bracket that misses its
+    ranks is widened fourfold and the pass repeated; at full width it holds
+    every value. Zeros of both signs compare equal, so where both
+    meet at a rank the sign found may differ from ``np.percentile``'s.
+    """
+    n, d = table.shape
+    total, block_rows = n * d, max(1, _RANGE_BLOCK // d)
+    sample = np.sort(table[::max(1, n // max(1, _RANGE_SAMPLE // d))], axis=None)
+    places = len(sample)
+    margin = 16
+    while True:
+        brackets = []
+        for i, j in spans:
+            first, last = i * places // total - margin, j * places // total + margin
+            brackets.append((sample[first] if first >= 0 else -np.inf,
+                             sample[last] if last < places else np.inf))
+        below = [0] * len(spans)
+        inside: list[list[np.ndarray]] = [[] for _ in spans]
+        for start in range(0, n, block_rows):
+            block = table[start:start + block_rows]
+            if np.isnan(block).any():
+                return None
+            for k, (lo, hi) in enumerate(brackets):
+                below[k] += np.count_nonzero(block < lo)
+                inside[k].append(block[(block >= lo) & (block <= hi)])
+        found = []
+        for (i, j), count, kept in zip(spans, below, inside):
+            kept = np.concatenate(kept)
+            if not count <= i <= j < count + len(kept):
+                break
+            kept.partition((i - count, j - count))
+            found.append(kept[i - count:j - count + 1])
+        else:
+            return found
+        margin *= 4
+
+
 def density_range(values: np.ndarray, coverage: float = DENSITY_COVERAGE) -> tuple[float, float]:
-    """Central-coverage amplitude range of a population, for chart axes."""
+    """Central-coverage amplitude range of a population, for chart axes:
+    ``np.percentile(values, (tail, 100 - tail))`` with
+    ``tail = 100 (1 - coverage) / 2``, where ``hi = lo + 1`` when
+    ``hi <= lo``.
+
+    These are the exact ``linear``-rule percentiles, bit for bit, and NaN
+    bounds for a population holding a NaN, found without copying the
+    corpus: only the values near each percentile's two order statistics are
+    selected (see :func:`_order_statistics`). A coverage outside [0, 1] is
+    a ``ValueError``.
+    """
+    if not 0.0 <= coverage <= 1.0:
+        raise ValueError(f"coverage must be in [0, 1], got {coverage}")
     tail = 100.0 * (1.0 - coverage) / 2.0
-    lo, hi = np.percentile(values, (tail, 100.0 - tail))
+    qs = (tail / 100, (100.0 - tail) / 100)
+    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if values.size == 0:
+        raise ValueError("an empty population has no density range")
+    table = values.reshape(len(values), -1)
+    rules = [_linear_rule(table.size, q) for q in qs]
+    found = _order_statistics(table, [(i, j) for i, j, _ in rules])
+    if found is None:
+        return math.nan, math.nan
+    lo, hi = (_lerp(float(pair[0]), float(pair[-1]), gamma)
+              for pair, (_, _, gamma) in zip(found, rules))
     if hi <= lo:
         hi = lo + 1.0
-    return float(lo), float(hi)
+    return lo, hi
+
+
+def _add_counts(counts: np.ndarray, values: np.ndarray, lo: float, hi: float) -> None:
+    """Add the per-column bin counts of the (m, d) ``values`` into the
+    (bins, d) ``counts``, one column at a time. Out-of-range amplitudes are
+    clipped into the edge bins."""
+    bins = len(counts)
+    for j in range(values.shape[1]):
+        idx = np.clip(((values[:, j] - lo) / (hi - lo) * bins).astype(int), 0, bins - 1)
+        counts[:, j] += np.bincount(idx, minlength=bins)
 
 
 def density_chart(
@@ -329,22 +426,31 @@ def density_chart(
     lo, hi = amplitude_range
     if not hi > lo:
         raise ValueError(f"amplitude_range must satisfy lo < hi, got ({lo}, {hi})")
-    n, d = values.shape
-    grid = np.zeros((bins, d))
-    for j in range(d):
-        idx = np.clip(((values[:, j] - lo) / (hi - lo) * bins).astype(int), 0, bins - 1)
-        grid[:, j] = np.bincount(idx, minlength=bins)
-    grid /= n
-    return DensityChart(grid=grid, amplitude_range=(float(lo), float(hi)), bins=bins)
+    counts = np.zeros((bins, values.shape[1]), np.int64)
+    _add_counts(counts, values, lo, hi)
+    return DensityChart(grid=counts / len(values), amplitude_range=(float(lo), float(hi)),
+                        bins=bins)
 
 
 def model_chart(model: VaeModel, n: int, corpus_chart: DensityChart,
                 rng: np.random.Generator | int) -> DensityChart:
     """The density chart of n decays decoded from prior draws (sigma scale
-    1), on ``corpus_chart``'s range and bins; the (n, d) sample is freed
-    when this returns."""
-    return density_chart(vae_mod.sample_matrix(model, n, sigma_scale=1.0, rng=rng),
-                         corpus_chart.bins, corpus_chart.amplitude_range)
+    1), on ``corpus_chart``'s range and bins: the chart of
+    ``vae.sample_matrix(model, n, 1.0, rng)``, bit for bit, and ``rng``
+    left as that call leaves it.
+
+    The sample is drawn and binned one :func:`vae._row_blocks` block at a
+    time, one ``sample_matrix`` call each on the one generator, whose
+    consecutive draws are the stream of one draw; no (n, d) sample is held.
+    """
+    rng = np.random.default_rng(rng)
+    lo, hi = corpus_chart.amplitude_range
+    counts = np.zeros((corpus_chart.bins, model.input_dim), np.int64)
+    for rows in vae_mod._row_blocks(n, model.decoder.layers):
+        _add_counts(counts, vae_mod.sample_matrix(
+            model, rows.stop - rows.start, sigma_scale=1.0, rng=rng), lo, hi)
+    return DensityChart(grid=counts / n, amplitude_range=corpus_chart.amplitude_range,
+                        bins=corpus_chart.bins)
 
 
 def dlc_difference(a: DensityChart, b: DensityChart) -> float:

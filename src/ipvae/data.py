@@ -297,33 +297,49 @@ def _float_parts(x: np.ndarray):
     them. A wrong E estimate or an exact tie between two nearest multiples
     leaves the cell to ``repr``.
     """
+    # each intermediate is dropped after its last use: a 2^15-cell chunk
+    # peaks at 2.8 MB of temporaries, against 9.2 MB with all of them kept
+    neg = np.signbit(x)
     ax = np.abs(x)
     fast = (ax >= 1e-3) & (ax < 2.0**52) & ((x.view(np.uint64) & _MANTISSA) != 0)
+    del x
     y = np.where(fast, ax, 1.5)
+    del ax
     bits = y.view(np.uint64)
     m = (bits & _MANTISSA) | _HIDDEN_BIT
     s = 1075 - (bits >> 52)
     e10 = np.clip(np.floor(np.log10(y)), -3, 15).astype(np.int64)
+    del y, bits
     t = np.take(_POW10, 16 - e10)
     # m·t as a 128-bit (hi, lo) pair from 32-bit limbs
     ml, mh, tl, th = m & _LOW32, m >> 32, t & _LOW32, t >> 32
+    del m
     lo, c1, c2 = ml * tl, ml * th, mh * tl
+    del ml, tl
     cross = (lo >> 32) + (c1 & _LOW32) + (c2 & _LOW32)
     hi = mh * th + (c1 >> 32) + (c2 >> 32) + (cross >> 32)
+    del mh, th, c1, c2
     lo = (cross << 32) | (lo & _LOW32)
+    del cross
     whole = (hi << (64 - s)) | (lo >> s)  # integer part of X
+    del hi
     below = (np.uint64(1) << s) - 1
     frac = lo & below  # fraction of X, in units of 2^-s
+    del lo
     fast &= (whole >= _POW10[16]) & (whole < _POW10[17])
     # smallest (a) and largest (b) integer in [X - h, X + h], h·2^s = t/2.
     # X ± h = 10^(16-E)·(2m ± 1)/2^(s+1) is an odd number times
     # 2^(15-E-s), and 15 - E - s < 0 for every x here: neither end is an
     # integer, so repr's rule for the ends (kept when m is even) never applies.
     half = t >> 1
+    del t
     hq, hr = half >> s, half & below
+    del half, below
     b = whole + hq + ((frac + hr) >> s)
     a = whole - hq - (frac < hr) + 1
+    del hq, hr
     span = b - a
+    del a
     # k: the largest power of ten (<= 16) with a multiple in [a, b]
     k = ((b - b // 10 * 10) <= span).astype(np.int64)
     more = (b - b // 100 * 100) <= span
@@ -331,24 +347,31 @@ def _float_parts(x: np.ndarray):
     if more.any():
         i = np.flatnonzero(more)
         k.flat[i] += ((b.flat[i][:, None] % _POW10[3:17]) <= span.flat[i][:, None]).sum(axis=1)
+    del b, span, more
     # the digits: X / 10^k rounded to nearest. They never round up to a
     # power of ten: 10^(E+1) would then read back as x, but each power of
     # ten from 1e-2 to 1e16 is a double or rounds up to one above itself
     scale = np.take(_POW10, k)
     digits = whole // scale
     rest = whole - digits * scale
+    del whole
     mid = scale >> 1
+    del scale
     mid_frac = (k == 0) * (np.uint64(1) << (s - 1))
+    del s
     at_mid = rest == mid
     fast &= ~(at_mid & (frac == mid_frac))
     digits += (rest > mid) | (at_mid & (frac > mid_frac))
+    del rest, mid, at_mid, mid_frac, frac
     last = k + e10 - 16  # decimal exponent of the last digit
+    del k
     down = np.take(_POW10, np.maximum(-last, 0))
     whole = digits // down
     frac = (digits - whole * down) * np.take(_POW10, 19 - np.maximum(-last, 1))
+    del digits, down
     whole *= np.take(_POW10, np.maximum(last, 0))
     nint = np.maximum(e10 + 1, 1)
-    neg = np.signbit(x)
+    del e10
     fast &= nint + neg <= _POINT
     return neg, whole, frac, np.maximum(-last, 1), nint, fast
 

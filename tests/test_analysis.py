@@ -16,6 +16,7 @@ from ipvae.analysis import (
     denoise_matrix,
     denoising_benchmark,
     density_chart,
+    density_range,
     dlc_difference,
     fitted_slope,
     latent_chargeability_correlation,
@@ -504,7 +505,7 @@ class TestSortedQuantiles:
         x = rng.integers(-3, 4, size=(40, realizations)).astype(np.float64) * 0.1
         x[0] = rng.standard_normal(realizations)
         x[1, realizations // 2] = np.nan
-        qs = (0.0, 0.025, 0.25, 0.5, 0.975, 0.999)
+        qs = (0.0, 0.025, 0.25, 0.5, 0.975, 0.999, 1.0)
         got = sorted_quantiles(np.sort(x, axis=-1), qs)
         for q, g in zip(qs, got):
             assert g.tobytes() == np.quantile(x, q, axis=-1).tobytes(), q
@@ -609,21 +610,127 @@ class TestDensityChart:
         assert peak < values.nbytes / 4
 
 
+def percentile_range(values, coverage):
+    """The range density_range had when it called np.percentile."""
+    tail = 100.0 * (1.0 - coverage) / 2.0
+    lo, hi = np.percentile(values, (tail, 100.0 - tail))
+    if hi <= lo:
+        hi = lo + 1.0
+    return float(lo), float(hi)
+
+
+class TestDensityRange:
+    def test_bit_equal_to_np_percentile(self):
+        """Normal, exponential, heavily tied small-integer and constant
+        populations of 1 to 10^5 values, d = 1 among the widths, over
+        coverages that put the ranks in the tails, the middle and the ends."""
+        rng = np.random.default_rng(22)
+        for case in range(320):
+            size = int(rng.integers(1, 10**5 + 1)) if case % 2 else int(rng.integers(1, 60))
+            d = int(rng.choice([1, 1, 2, 3, 7, 20]))
+            shape = (max(1, size // d), d)
+            kind = case % 4
+            if kind == 0:
+                values = rng.normal(3.0, 4.0, shape)
+            elif kind == 1:
+                values = rng.exponential(2.0, shape)
+            elif kind == 2:
+                values = rng.integers(-3, 4, shape).astype(np.float64)
+            else:
+                values = np.full(shape, rng.standard_normal())
+            coverage = float(rng.choice([analysis.DENSITY_COVERAGE, 0.9, 0.5, 0.0, 1.0,
+                                         rng.uniform()]))
+            got = density_range(values, coverage)
+            expected = percentile_range(values, coverage)
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), (shape, kind, coverage)
+        # a last rank taken twice is weighted by its virtual index + 1, which
+        # turns a top of -0.0 into 0.0
+        for values in (np.full((1, 1), -0.0), np.array([[-1.0], [-0.0], [-0.0]]),
+                       np.full((4, 1), np.inf)):
+            for coverage in (0.0, analysis.DENSITY_COVERAGE, 1.0):
+                with np.errstate(invalid="ignore"):
+                    expected = percentile_range(values, coverage)
+                got = density_range(values, coverage)
+                assert np.array(got).tobytes() == np.array(expected).tobytes(), (values, coverage)
+
+    def test_bracket_widened_when_the_sample_misses(self):
+        """Every row the bracketing sample reads holds one large value, so
+        each first bracket misses its ranks and has to widen."""
+        values = np.random.default_rng(5).standard_normal((20_000, 3))
+        values[::len(values) // (analysis._RANGE_SAMPLE // 3)] = 1e6
+        for coverage in (analysis.DENSITY_COVERAGE, 0.5):
+            expected = percentile_range(values, coverage)
+            assert density_range(values, coverage) == expected
+
+    def test_nan_gives_nan_bounds(self):
+        values = np.random.default_rng(6).standard_normal((5000, 20))
+        values[4321, 7] = np.nan
+        assert np.isnan(percentile_range(values, analysis.DENSITY_COVERAGE)).all()
+        assert np.isnan(density_range(values)).all()
+
+    @pytest.mark.parametrize("coverage", [-1.5, -0.1, 1.0 + 1e-9, 1.5, math.nan])
+    def test_coverage_outside_unit_interval_raises(self, coverage):
+        """np.percentile rejects the coverages that put a percentile outside
+        [0, 100]; those in [-1, 0) gave it lo > hi, and a range of width 1."""
+        values = np.ones((10, 20))
+        if not -1.0 <= coverage <= 1.0:
+            with pytest.raises(ValueError, match="Percentiles must be in the range"):
+                percentile_range(values, coverage)
+        with pytest.raises(ValueError, match=r"coverage must be in \[0, 1\], got"):
+            density_range(values, coverage)
+
+    def test_corpus_not_copied(self, small_corpus):
+        values = small_corpus[1]
+        tracemalloc.start()
+        try:
+            got = density_range(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == percentile_range(values, analysis.DENSITY_COVERAGE)
+        assert peak < values.nbytes / 4
+
+
 class TestModelChart:
     @pytest.mark.parametrize("bins", [1, 37, 100])
-    def test_bit_equal_to_chart_of_sample(self, small_model, small_corpus, bins):
+    def test_bit_equal_to_chart_of_sample(self, small_model, small_corpus, monkeypatch, bins):
         """The chart of the sample ``sample_matrix`` draws, on the corpus
-        chart's range and bins, and a shared generator left as that draw
-        leaves it."""
+        chart's range and bins, from decoder products of the same shapes,
+        and a shared generator left as that draw leaves it. The default
+        model decodes blocks of at most 819 rows: 820 and 20 000 rows take
+        two and 25."""
         model, _ = small_model
         corpus_chart = density_chart(small_corpus[1][:5000], bins=bins)
-        rng, expected_rng = np.random.default_rng(7), np.random.default_rng(7)
-        chart = analysis.model_chart(model, 3000, corpus_chart, rng)
-        expected = density_chart(sample_matrix(model, 3000, sigma_scale=1.0, rng=expected_rng),
-                                 bins, corpus_chart.amplitude_range)
-        assert chart.grid.tobytes() == expected.grid.tobytes()
-        assert (chart.amplitude_range, chart.bins) == (corpus_chart.amplitude_range, bins)
-        assert same_state(rng.bit_generator.state, expected_rng.bit_generator.state)
+        decoded = []
+        decode = vae_mod.decode
+        monkeypatch.setattr(vae_mod, "decode",
+                            lambda model, z: decoded.append(z.shape) or decode(model, z))
+        for n in (1, 2, 3, 819, 820, 3000, 20_000):
+            rng, expected_rng = np.random.default_rng(7), np.random.default_rng(7)
+            chart = analysis.model_chart(model, n, corpus_chart, rng)
+            chart_shapes = decoded.copy()
+            decoded.clear()
+            expected = density_chart(sample_matrix(model, n, sigma_scale=1.0, rng=expected_rng),
+                                     bins, corpus_chart.amplitude_range)
+            assert chart.grid.tobytes() == expected.grid.tobytes(), n
+            assert (chart.amplitude_range, chart.bins) == (corpus_chart.amplitude_range, bins)
+            assert same_state(rng.bit_generator.state, expected_rng.bit_generator.state), n
+            assert chart_shapes == decoded, n
+            decoded.clear()
+
+    def test_sample_not_held(self, small_model, small_corpus):
+        """At 20k decays the chart peaks below a quarter of the (n, d)
+        sample it bins."""
+        model, _ = small_model
+        corpus_chart = density_chart(small_corpus[1])
+        analysis.model_chart(model, 100, corpus_chart, 7)  # lazy set-up
+        tracemalloc.start()
+        try:
+            analysis.model_chart(model, 20_000, corpus_chart, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * model.input_dim * 8 / 4
 
 
 class TestLatentCorrelation:

@@ -326,6 +326,24 @@ class TestDenoise:
             tracemalloc.stop()
         assert peak < 4 * values.nbytes
 
+    def test_serial_report_peak_below_three_corpora(self, pipeline, small_corpus, tmp_path,
+                                                    monkeypatch):
+        """In process and serial, a report of 20k decays peaks below three
+        times their values: neither density chart holds a corpus-sized
+        temporary, the prior sample or a copy for the chart's range."""
+        values = small_corpus[1]
+        corpus = tmp_path / "survey.csv"
+        data.write_decays(data.DecaySet(values), corpus)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            assert run("report", "--model", pipeline / "train" / "model.ipvae",
+                       "--corpus", corpus, "--seed", 5, "--out", tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values.nbytes
+
     def test_threshold_checked_before_reading(self, tmp_path, capsys):
         # RMSE is >= 0, so a negative threshold would flag every decay
         for threshold in ("nan", "-1"):
