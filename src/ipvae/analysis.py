@@ -9,7 +9,6 @@ uses the raw Euclidean norm of the misfit in its dynamic-range ratio.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,13 +161,13 @@ _NOISE_ROWS = 256
 
 
 def _denoise_rows(shared, rows: slice):
-    """The 0.5, 0.025 and 0.975 quantiles of the noise group ``rows``, (c, d)
-    each and decoded block by block, or ``finish(rows, *quantiles)``. The
-    rows of ``mu`` are ``len(roots)`` levels of equal size, stacked; the
-    group's noise stream is keyed by its place in its level, under the
-    level's root."""
-    model, mu, sigma, realizations, roots, block, finish = shared
-    level, offset = divmod(rows.start, len(mu) // len(roots))
+    """``finish(rows, median, ci_low, ci_high)`` of the noise group ``rows``,
+    whose 0.5, 0.025 and 0.975 quantiles, (c, d) each, are decoded block by
+    block. The rows of ``mu`` are levels of n rows, stacked; the group's
+    noise stream is keyed by its place in its level, under the level's
+    root."""
+    model, mu, sigma, n, realizations, roots, block, finish = shared
+    level, offset = divmod(rows.start, n)
     rng = np.random.default_rng(
         np.random.SeedSequence(roots[level], spawn_key=(offset // _NOISE_ROWS,)))
     quantiles = np.empty((3, rows.stop - rows.start, model.input_dim))
@@ -181,75 +180,58 @@ def _denoise_rows(shared, rows: slice):
         recs.sort(axis=-1)
         quantiles[:, start - rows.start:stop - rows.start] = sorted_quantiles(
             recs, (0.5, 0.025, 0.975))
-    return finish(rows, *quantiles) if finish else quantiles
+    return finish(rows, *quantiles)
 
 
-@contextmanager
-def _denoised_groups(model, mu, sigma, n_realizations: int, roots, finish):
-    """Yield ``(rows, result)`` for every 256-row noise group of the
-    ``len(roots)`` equal levels stacked in the encoded ``mu`` and ``sigma``,
-    in row order, each level with its own root: a level's groups are cut
-    from its first row, and none spans two levels. Each group is one task
-    of one :func:`data._map_rows` pass, pooled from 2^18 samples (rows of
-    all levels times R) on."""
+def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
+                   rng: np.random.Generator | int, finish, take) -> None:
+    """Posterior-sampled reconstructions of every decay of the (L, n, d)
+    stack ``levels``: L surveys of n decays each, one level for a single
+    survey (``values[None]``).
+
+    Each decay's per-window empirical 0.5/0.025/0.975 quantiles over
+    ``n_realizations`` encode-sample-decode passes go to ``finish(rows,
+    median, ci_low, ci_high)``, (c, d) each, run where the noise group
+    ``rows`` is decoded; ``take(rows, result)`` then runs here on each
+    group's result, in row order. ``rows`` counts level l's decay i as
+    l·n + i.
+
+    ``rng`` gives one root entropy per level, ``rng.integers(2**63,
+    size=(L, 2))``, for any n and R; for one level this is the draw of
+    ``size=2``. Each level's rows are cut into groups of 256 from its
+    first row; its group g draws its ``(rows, R, K)`` noise, row-major,
+    from ``default_rng(SeedSequence(root, spawn_key=(g,)))`` under the
+    level's root. So a call on L levels gives each level the bits of a
+    call on that level alone, the first m rows of a level get the noise of
+    a call on those m rows alone, and results depend neither on the block
+    size nor on the pool.
+
+    Each level is encoded here on its own, in :func:`vae.encode`'s blocks.
+    Each group is one task, decoded in blocks whose R samples pass the
+    decoder's widest layer in at most 2^18 multiply-adds (8 rows for the
+    default model at R=100), which OpenBLAS runs on the calling thread; a
+    block's noise is drawn as it is decoded, so memory does not grow with
+    R. From 2^18 samples (L·n·R) on, a ``fork`` pool decodes the groups on
+    every usable core; only ``finish``'s results come back.
+    """
     if n_realizations < 2:
         raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
-    n = len(mu) // len(roots) if len(roots) else 0
+    if levels.ndim != 3:
+        raise ValueError(f"levels must be an (L, n, d) stack, got shape {levels.shape}")
+    n_levels, n, _ = levels.shape
+    roots = np.random.default_rng(rng).integers(2**63, size=(n_levels, 2))
+    mu, sigma = (np.empty((n_levels, n, model.latent_dim)) for _ in range(2))
+    for level, values in enumerate(levels):
+        mu[level], sigma[level] = vae_mod.encode(model, values)
     ranges = [slice(level * n + start, level * n + min(start + _NOISE_ROWS, n))
-              for level in range(len(roots)) for start in range(0, n, _NOISE_ROWS)]
-    pooled = len(mu) * n_realizations >= _POOL_MIN_SAMPLES
+              for level in range(n_levels) for start in range(0, n, _NOISE_ROWS)]
     block = vae_mod._block_rows(model.decoder.layers, n_realizations)
-    shared = (model, mu, sigma, n_realizations, roots, block, finish)
+    shared = (model, mu.reshape(-1, model.latent_dim), sigma.reshape(-1, model.latent_dim),
+              n, n_realizations, roots, block, finish)
+    pooled = n_levels * n * n_realizations >= _POOL_MIN_SAMPLES
     with data._map_rows(_denoise_rows, shared, ranges, pooled) as done:
-        yield zip(ranges, done)
-
-
-def denoise_matrix(
-    model: VaeModel,
-    values: np.ndarray,
-    n_realizations: int = 100,
-    rng: np.random.Generator | int = 0,
-    finish=None,
-    take=None,
-):
-    """Posterior-sampled reconstructions of each row of (n, d) ``values``.
-
-    Returns (median, ci_low, ci_high) per-window empirical 0.5/0.025/0.975
-    quantiles over ``n_realizations`` encode-sample-decode passes, (n, d)
-    each. A caller that keeps less passes ``finish(rows, median, ci_low,
-    ci_high)``, run where group ``rows`` is decoded, and gets the list of
-    its results in row order, or of ``take(rows, result)`` run here on each;
-    a ``take`` without a ``finish`` is an error.
-
-    ``rng`` gives one root entropy, ``rng.integers(2**63, size=2)``, for any
-    n and R. The rows are cut into groups of 256 from row 0; group g draws
-    its ``(rows, R, K)`` noise, row-major, from
-    ``default_rng(SeedSequence(root, spawn_key=(g,)))``. So the first m
-    rows of a call get the noise of a call on those m rows alone, and
-    results depend neither on the block size nor on the pool.
-
-    The rows are encoded here, in :func:`vae.encode`'s blocks. Each group
-    is one task, decoded in blocks whose R samples pass the decoder's widest
-    layer in at most 2^18 multiply-adds (8 rows for the default model at
-    R=100), which OpenBLAS runs on the calling thread; a block's noise is
-    drawn as it is decoded, so memory does not grow with R. From 2^18
-    samples (n·R) on, a ``fork`` pool decodes the groups on every usable
-    core; only results come back.
-    """
-    if take and not finish:
-        raise ValueError("take needs a finish to take the results of")
-    root = np.random.default_rng(rng).integers(2**63, size=2)
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    n, d = values.shape
-    mu, sigma = vae_mod.encode(model, values)
-    if finish is None:  # the default: fill three (n, d) outputs
-        med, lo, hi = (np.empty((n, d)) for _ in range(3))
-
-        def take(rows, quantiles):
-            med[rows], lo[rows], hi[rows] = quantiles
-    with _denoised_groups(model, mu, sigma, n_realizations, [root], finish) as done:
-        kept = [take(rows, result) if take else result for rows, result in done]
-    return kept if finish else (med, lo, hi)
+        for rows, result in zip(ranges, done):
+            take(rows, result)
 
 
 def denoise_all(
@@ -275,7 +257,7 @@ def denoise_all(
 
     def take(rows, result):
         med[rows], lo[rows], hi[rows], errs[rows], snrs[rows] = result
-    denoise_matrix(model, values, n_realizations, rng, finish, take)
+    denoise_matrix(model, values[None], n_realizations, rng, finish, take)
     return DenoiseResult(med, lo, hi, errs, snrs, errs > threshold)
 
 
@@ -292,13 +274,18 @@ def survey_snr_histogram(
     width; perfect reconstructions (infinite S/N) are counted separately so
     the histogram total still equals the survey size.
     """
+    values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
         raise ValueError("empty decay set")
-    if bin_width_db <= 0:
-        raise ValueError(f"bin_width_db must be > 0, got {bin_width_db}")
+    if not 0 < bin_width_db < math.inf:
+        raise ValueError(f"bin_width_db must be finite and > 0, got {bin_width_db}")
     data_range(values)  # a constant decay is rejected before any denoising
-    snrs = np.concatenate(denoise_matrix(
-        model, values, n_realizations, rng, lambda rows, med, lo, hi: peak_snr(values[rows], med)))
+    snrs = np.empty(len(values))
+
+    def take(rows, result):
+        snrs[rows] = result
+    denoise_matrix(model, values[None], n_realizations, rng,
+                   lambda rows, med, lo, hi: peak_snr(values[rows], med), take)
     finite = snrs[np.isfinite(snrs)]
     inf_count = int(np.sum(~np.isfinite(snrs)))
     if finite.size == 0:
@@ -518,6 +505,13 @@ def latent_sweep(
     corpus_chart = density_chart(values)
     rows: list[SweepRow] = []
     models: list[VaeModel] = []
+    errs, snrs = np.empty(len(values)), np.empty(len(values))
+
+    def finish(group, med, lo, hi):
+        return rmse(values[group], med), peak_snr(values[group], med)
+
+    def take(group, result):
+        errs[group], snrs[group] = result
     for k in ks:
         try:
             model, curve = vae_mod.train_new(values, replace(config, latent_dim=k))
@@ -525,9 +519,7 @@ def latent_sweep(
             exc.args = (f"K={k}: {exc}",)
             raise
         _, nll, kl = loss_at_convergence(curve)
-        errs, snrs = map(np.concatenate, zip(*denoise_matrix(
-            model, values, n_realizations, config.seed,
-            lambda rows, med, lo, hi: (rmse(values[rows], med), peak_snr(values[rows], med)))))
+        denoise_matrix(model, values[None], n_realizations, config.seed, finish, take)
         dlc = dlc_difference(model_chart(model, len(values), corpus_chart, config.seed + 1),
                              corpus_chart)
         rows.append(SweepRow(latent_dim=k, nll=nll, kl=kl,
@@ -544,51 +536,49 @@ def denoising_benchmark(
     seed: int,
     n_realizations: int = 100,
 ) -> dict[float, dict[str, tuple[float, float]]]:
-    """Denoising comparison on model-generated ground truth.
+    """Denoising comparison on model-generated ground truth: for each noise
+    level, keyed by sigma, the (mean, std) of each method's per-decay RMSE
+    against the truth.
 
-    Ground truth is a prior-sampled population (the trained model's own
-    data space); each noise level contaminates it with white Gaussian
-    noise, every method denoises the noisy copy, and per-decay RMSE against
-    the ground truth is summarized as (mean, std) per method. Baseline
-    filters are tuned per decay against the ground truth, the strongest
-    possible baseline setting. One unit-noise draw is shared across noise
-    levels (scaled by sigma) so the sweep traces smooth curves.
+    The truth is n >= 1 decays drawn from the model's prior (its own data
+    space). One unit-noise draw, scaled by each sigma, contaminates it, so
+    the sweep traces smooth curves; no sigma may repeat. The baseline
+    filters are tuned per decay against the truth, the strongest possible
+    baseline setting.
 
-    After the truth and the unit noise, the generator gives one root per
-    level, in order, as a :func:`denoise_matrix` call per level would. Each
-    level is encoded on its own, then every level's 256-row noise groups
-    are the tasks of one pool pass: a task rebuilds its noisy rows as
-    ``truth + sigma * unit_noise``, decodes them and returns their RMSE for
-    every method, the three filters tuned on those rows alone. No
-    ``(levels·n, d)`` array is held.
+    The noisy levels, truth + sigma · unit noise, are held as one (L, n, d)
+    stack, and the unit noise only while they are built. One
+    :func:`denoise_matrix` call, whose roots are drawn after the truth and
+    the unit noise, denoises them. Each 256-row noise group is scored for
+    every method where it is decoded, the three filters tuned on its
+    decays alone.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if len(set(sigmas)) < len(sigmas):  # one result per level, keyed by sigma
         raise ValueError(f"noise levels must not repeat, got {tuple(sigmas)}")
     rng = np.random.default_rng(seed)
     truth = vae_mod.sample_matrix(model, n, sigma_scale=1.0, rng=rng)
-    unit_noise = rng.standard_normal(truth.shape)
-    roots = rng.integers(2**63, size=(len(sigmas), 2))
-    mu, sigma = (np.empty((len(sigmas) * n, model.latent_dim)) for _ in range(2))
-    levels = [slice(level * n, (level + 1) * n) for level in range(len(sigmas))]
-    for rows, s in zip(levels, sigmas):
-        mu[rows], sigma[rows] = vae_mod.encode(model, truth + s * unit_noise)
+    levels = np.multiply.outer(sigmas, rng.standard_normal(truth.shape))
+    levels += truth
 
     def finish(rows, median, *_):  # every method's RMSE on one group
         level, start = divmod(rows.start, n)
         own = slice(start, start + len(median))
-        noisy = truth[own] + sigmas[level] * unit_noise[own]
+        noisy = levels[level, own]
         return (rmse(noisy, truth[own]), rmse(median, truth[own]),
                 *(flt.tune_batch(kind, noisy, truth[own])[2]
                   for kind in ("MA", "EMA", "Butterworth")))
 
-    errs = np.empty((len(BENCH_METHODS), len(mu)))
-    with _denoised_groups(model, mu, sigma, n_realizations, roots, finish) as done:
-        for rows, result in done:
-            errs[:, rows] = result
+    errs = np.empty((len(BENCH_METHODS), len(sigmas) * n))
+
+    def take(rows, result):
+        errs[:, rows] = result
+    denoise_matrix(model, levels, n_realizations, rng, finish, take)
     return {
         float(s): {name: (float(np.mean(e)), float(np.std(e)))
-                   for name, e in zip(BENCH_METHODS, errs[:, rows])}
-        for rows, s in zip(levels, sigmas)
+                   for name, e in zip(BENCH_METHODS, errs[:, level * n:(level + 1) * n])}
+        for level, s in enumerate(sigmas)
     }
 
 

@@ -174,7 +174,7 @@ def cmd_denoise(args) -> int:
     out = _out_dir(args)
     with atomic_open(os.path.join(out, "results.csv"), "wb") as fh:
         fh.write(f"{header}\n".encode())
-        analysis.denoise_matrix(model, values, args.realizations, args.seed, finish, write)
+        analysis.denoise_matrix(model, values[None], args.realizations, args.seed, finish, write)
     finite = snr[np.isfinite(snr)]
     n_outliers = int(np.sum(rmse > args.threshold))
     if n_outliers > len(values) / 2:

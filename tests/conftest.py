@@ -1,8 +1,11 @@
 """Shared fixtures: a small fast-training corpus/model for unit tests and
-the full-size canonical corpus/model reused by the acceptance suite."""
+the full-size canonical corpus/model reused by the acceptance suite; and
+``quantiles``, the denoised quantiles of one survey."""
 
+import numpy as np
 import pytest
 
+from ipvae.analysis import denoise_matrix
 from ipvae.data import SyntheticSpec, synthesize_corpus
 from ipvae.vae import TrainConfig, train_new
 
@@ -34,3 +37,15 @@ def canonical_model(canonical_corpus):
     _, noisy_matrix = canonical_corpus
     model, curve = train_new(noisy_matrix, TrainConfig(seed=CANONICAL_TRAIN_SEED))
     return model, curve
+
+
+def quantiles(model, values, n_realizations, rng):
+    """(median, ci_low, ci_high), (n, d) each, of the (n, d) ``values``
+    denoised as one level of :func:`denoise_matrix`."""
+    out = np.empty((3, *np.shape(values)))
+
+    def take(rows, result):
+        out[:, rows] = result
+    denoise_matrix(model, np.asarray(values)[None], n_realizations, rng,
+                   lambda rows, *bands: bands, take)
+    return tuple(out)

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from ipvae.analysis import (
-    denoise_matrix,
     denoising_benchmark,
     density_chart,
     density_range,
@@ -47,7 +46,7 @@ from ipvae.vae import (
     smooth_curve,
     train_new,
 )
-from conftest import CANONICAL_SPEC, CANONICAL_TRAIN_SEED
+from conftest import CANONICAL_SPEC, CANONICAL_TRAIN_SEED, quantiles
 
 BENCH_SIGMA = 1.1
 
@@ -270,7 +269,7 @@ def test_criterion_10_outlier_flagging(canonical_model):
     clean = sample_matrix(model, 1000, sigma_scale=1.0, rng=rng)
     in_dist = clean + rng.normal(0.0, 0.3, clean.shape)
 
-    med, _, _ = denoise_matrix(model, in_dist, n_realizations=100, rng=31)
+    med, _, _ = quantiles(model, in_dist, 100, rng=31)
     false_positive = float(np.mean(rmse(in_dist, med) > 1.0))
     assert false_positive <= 0.05
 
@@ -279,7 +278,7 @@ def test_criterion_10_outlier_flagging(canonical_model):
     magnitudes = rng.uniform(8 * BENCH_SIGMA, 10 * BENCH_SIGMA, spiked.shape[0])
     signs = rng.choice((-1.0, 1.0), spiked.shape[0])
     spiked[np.arange(spiked.shape[0]), cols] += signs * magnitudes
-    med2, _, _ = denoise_matrix(model, spiked, n_realizations=100, rng=32)
+    med2, _, _ = quantiles(model, spiked, 100, rng=32)
     detected = float(np.mean(rmse(spiked, med2) > 1.0))
     assert detected >= 0.95
     print(f"ACCEPTANCE 10 PASS: spike detection {detected * 100:.1f}% >= 95%, "

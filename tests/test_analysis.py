@@ -29,6 +29,8 @@ from ipvae.analysis import (
 )
 from ipvae.vae import TrainConfig, TrainingDivergedError, sample_matrix
 
+from conftest import quantiles
+
 
 class TestRmse:
     def test_identical_inputs(self):
@@ -158,16 +160,23 @@ class TestDenoise:
         assert np.all(strict.outlier)
         assert np.array_equal(res.outlier, res.rmse > 1.0)
 
-    def test_take_without_finish_rejected(self, small_model, small_corpus):
-        """``take`` receives what ``finish`` returns; without a finish it
-        has nothing of the caller's to take, so the call is refused rather
-        than filling the default outputs instead."""
+    def test_levels_must_be_a_stack(self, small_model, small_corpus):
+        # one survey is one level, values[None]; a bare (n, d) is refused
         model, _ = small_model
-        taken = []
-        with pytest.raises(ValueError, match="take needs a finish"):
-            denoise_matrix(model, small_corpus[1][:10], 5, rng=3,
-                           take=lambda rows, result: taken.append(rows))
-        assert taken == []
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"\(L, n, d\) stack"):
+            denoise_matrix(model, small_corpus[1][:10], 10, rng,
+                           lambda rows, *bands: bands, lambda rows, result: None)
+        assert rng.bit_generator.state == before
+
+    def test_realization_floor_checked_before_the_root_draw(self, small_model, small_corpus):
+        model, _ = small_model
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="realizations"):
+            quantiles(model, small_corpus[1][:10], 1, rng)
+        assert rng.bit_generator.state == before
 
 
 def unblocked_denoise_matrix(model, values, n_realizations, rng):
@@ -215,7 +224,7 @@ class TestBlockedDenoise:
              "1000": 1000}[rows]
         old_rng, new_rng = np.random.default_rng(17), np.random.default_rng(17)
         expected = unblocked_denoise_matrix(model, decays[:n], realizations, old_rng)
-        got = denoise_matrix(model, decays[:n], realizations, new_rng)
+        got = quantiles(model, decays[:n], realizations, new_rng)
         # the shared generator has consumed exactly the same draws
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
         for e, g in zip(expected, got):
@@ -232,7 +241,7 @@ class TestBlockedDenoise:
         model, _ = small_model
         rng = np.random.default_rng(17)
         expected = after_root_draw(rng)
-        for got in denoise_matrix(model, np.empty((0, model.input_dim)), 100, rng):
+        for got in quantiles(model, np.empty((0, model.input_dim)), 100, rng):
             assert got.shape == (0, model.input_dim)
         assert rng.bit_generator.state == expected
 
@@ -246,7 +255,7 @@ class TestBlockedDenoise:
         expected = after_root_draw(rng)
         with monkeypatch.context() as m:
             force_serial(m) if force == "serial" else force_pool(m, any_size=True)
-            denoise_matrix(model, small_corpus[1][:n], realizations, rng)
+            quantiles(model, small_corpus[1][:n], realizations, rng)
         assert rng.bit_generator.state == expected
 
     @pytest.mark.parametrize("force", ["serial", "pool"])
@@ -258,7 +267,7 @@ class TestBlockedDenoise:
         expected = unblocked_denoise_matrix(model, values, 100, old_rng)
         with monkeypatch.context() as m:
             force_serial(m) if force == "serial" else force_pool(m, any_size=True)
-            got = denoise_matrix(model, values, 100, new_rng)
+            got = quantiles(model, values, 100, new_rng)
         assert type(new_rng.bit_generator) is kind
         assert same_state(new_rng.bit_generator.state, old_rng.bit_generator.state)
         for e, g in zip(expected, got):
@@ -273,7 +282,7 @@ class TestBlockedDenoise:
         for realizations in (100, 400):
             tracemalloc.start()
             try:
-                denoise_matrix(model, values, realizations, rng=3)
+                quantiles(model, values, realizations, rng=3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -297,7 +306,7 @@ class TestBlockedDenoise:
         force_serial(monkeypatch)  # every product is counted in this process
         for call in (lambda: vae_mod.encode(model, values),
                      lambda: sample_matrix(model, 20_000, 1.0, rng=1),
-                     lambda: denoise_matrix(model, values, 100, rng=2),
+                     lambda: quantiles(model, values, 100, rng=2),
                      lambda: denoising_benchmark(model, 20_000, (1.0,), seed=3,
                                                  n_realizations=2)):
             products.clear()
@@ -318,7 +327,7 @@ def force_pool(m, any_size):
     threshold = 0 if any_size else analysis._POOL_MIN_SAMPLES
 
     def in_worker(shared, rows):
-        _, mu, _, realizations, _, _, _finish = shared
+        _, mu, _, _, realizations, *_ = shared
         if (os.getpid() == parent and len(mu) > analysis._NOISE_ROWS
                 and realizations * len(mu) >= threshold):
             raise AssertionError("groups decoded outside the pool")
@@ -352,7 +361,7 @@ class TestPooledDenoise:
             with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 force(m)
-                results.append(denoise_matrix(model, values, realizations, rng))
+                results.append(quantiles(model, values, realizations, rng))
             states.append(rng.bit_generator.state)
             # Python 3.12 warns when it forks a process that runs threads
             assert [w for w in caught if "fork" in str(w.message)] == []
@@ -376,26 +385,56 @@ class TestPooledDenoise:
         m = {"2": 2, "b-1": block - 1, "1000": 1000}[rows]
         with monkeypatch.context() as mp:
             force_pool(mp, any_size=False)
-            whole = denoise_matrix(model, values, 100, rng=11)
-        for w, p in zip(whole, denoise_matrix(model, values[:m], 100, rng=11)):
+            whole = quantiles(model, values, 100, rng=11)
+        for w, p in zip(whole, quantiles(model, values[:m], 100, rng=11)):
             assert w[:m].tobytes() == p.tobytes()
 
     @pytest.mark.parametrize("force", ["serial", "pool"])
     def test_outputs_filled_as_groups_arrive(self, monkeypatch, small_model, small_corpus,
                                              force):
-        """A default call holds its three (n, d) outputs and little more;
-        keeping every group's quantiles to join them at the end would hold
-        the outputs twice."""
+        """A call whose ``take`` fills three (n, d) outputs holds them and
+        little more: each group's quantiles are handed over as they arrive,
+        not kept to be joined at the end, which would hold them twice."""
         model, _ = small_model
         values = small_corpus[1]  # 20k x 100 samples: a pooled size
         force_serial(monkeypatch) if force == "serial" else force_pool(monkeypatch, False)
         tracemalloc.start()
         try:
-            outs = denoise_matrix(model, values, 100, rng=3)
+            outs = quantiles(model, values, 100, rng=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * sum(out.nbytes for out in outs)
+
+    @pytest.mark.parametrize("force", ["serial", "pool"])
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_levels_equal_one_call_each(self, monkeypatch, small_model, small_corpus,
+                                        n, force):
+        """A call on three stacked levels gives each level the bits of a call
+        on it alone, taken in row order with level l's decay i at row
+        l·n + i, and advances the generator by the same three roots. A
+        one-row level is encoded alone, through gemv, as in its own call."""
+        model, _ = small_model
+        levels = small_corpus[1][:3 * n].reshape(3, n, -1)
+        got, taken = np.empty((3, 3 * n, model.input_dim)), []
+
+        def take(rows, result):
+            taken.append(rows)
+            got[:, rows] = result
+        rng = np.random.default_rng(31)
+        with monkeypatch.context() as m:
+            force_serial(m) if force == "serial" else force_pool(m, any_size=True)
+            denoise_matrix(model, levels, 37, rng, lambda rows, *bands: bands, take)
+        assert taken == [slice(level * n + start, level * n + min(start + 256, n))
+                         for level in range(3) for start in range(0, n, 256)]
+        one_by_one = np.random.default_rng(31)
+        with monkeypatch.context() as m:
+            force_serial(m)
+            expected = [quantiles(model, values, 37, one_by_one) for values in levels]
+        assert rng.bit_generator.state == one_by_one.bit_generator.state
+        for level, bands in enumerate(expected):
+            assert got[:, level * n:(level + 1) * n].tobytes() == np.array(bands).tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_fork_unsafe_after_planning(self, monkeypatch, small_model, small_corpus):
         """A call of pooled size on 3 CPUs, where a fork is not safe, decodes
@@ -405,7 +444,7 @@ class TestPooledDenoise:
         values = small_corpus[1][:3000]  # 3000 x 100 samples: a pooled size
         with monkeypatch.context() as m:
             force_pool(m, any_size=False)
-            expected = denoise_matrix(model, values, 100, rng=3)
+            expected = quantiles(model, values, 100, rng=3)
         parent, denoise_rows, decoded_here = os.getpid(), analysis._denoise_rows, []
 
         def recorded(shared, rows):
@@ -416,7 +455,7 @@ class TestPooledDenoise:
             m.setattr(data, "_usable_cpus", lambda: 3)
             m.setattr(data, "_fork_context", lambda: None)
             m.setattr(analysis, "_denoise_rows", recorded)
-            got = denoise_matrix(model, values, 100, rng=3)
+            got = quantiles(model, values, 100, rng=3)
         assert decoded_here == [True] * 12  # every 256-row group
         assert multiprocessing.active_children() == []
         for e, g in zip(expected, got):
@@ -446,7 +485,7 @@ class TestPooledDenoise:
         monkeypatch.setattr(analysis, "_POOL_MIN_SAMPLES", 0)
         monkeypatch.setattr(analysis, "_denoise_rows", failing)
         with pytest.raises(RuntimeError, match=r"decode failed at row \d+"):
-            denoise_matrix(model, decays[:1000], 100, rng=3)  # four noise groups
+            quantiles(model, decays[:1000], 100, rng=3)  # four noise groups
         assert multiprocessing.active_children() == []
 
 
@@ -459,7 +498,7 @@ def reference_benchmark(model, n, sigmas, seed, realizations):
     out = {}
     for sigma in sigmas:
         noisy = truth + sigma * unit_noise
-        median, _, _ = denoise_matrix(model, noisy, realizations, rng)
+        median, _, _ = quantiles(model, noisy, realizations, rng)
         errs = [rmse(noisy, truth), rmse(median, truth),
                 *(flt.tune_batch(kind, noisy, truth)[2] for kind in ("MA", "EMA", "Butterworth"))]
         out[float(sigma)] = {name: (float(np.mean(e)), float(np.std(e)))
@@ -489,6 +528,17 @@ class TestDenoisingBenchmark:
                 assert np.array(got[sigma][name]).tobytes() == np.array(mean_std).tobytes()
         assert multiprocessing.active_children() == []
 
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_decays_rejected_before_any_draw(self, monkeypatch, small_model, n):
+        # n = 0 would summarize empty levels as NaN, with a RuntimeWarning
+        model, _ = small_model
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew before n was checked")
+        monkeypatch.setattr(vae_mod, "sample_matrix", never)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            denoising_benchmark(model, n, (0.0, 1.0), seed=3, n_realizations=4)
 
     def test_repeated_sigma_raises(self, small_model):
         # results are keyed by sigma: a repeat would keep one level's numbers
@@ -545,6 +595,17 @@ class TestSurveyHistogram:
         model, _ = small_model
         with pytest.raises(ValueError):
             survey_snr_histogram(np.empty((0, 20)), model)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_bin_width_checked_before_denoising(self, monkeypatch, small_model,
+                                                small_corpus, width):
+        model, _ = small_model
+
+        def never(*args, **kwargs):
+            raise AssertionError("denoised before the bin width was checked")
+        monkeypatch.setattr(analysis, "denoise_matrix", never)
+        with pytest.raises(ValueError, match="bin_width_db must be finite and > 0"):
+            survey_snr_histogram(small_corpus[1][:100], model, bin_width_db=width)
 
     def test_constant_decay_rejected_before_denoising(self, monkeypatch, small_model,
                                                       small_corpus):

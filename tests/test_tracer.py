@@ -44,3 +44,22 @@ def test_traced_train_calls_the_wrapped_mlp_methods(tmp_path):
     assert spans["nn.Mlp.forward_cached"]["calls"] == 2 * steps
     assert spans["nn.Mlp.backward"]["calls"] == 2 * steps
     assert spans["nn.adam_step"]["calls"] == steps
+
+
+def test_traced_bench_goes_through_denoise_matrix(tmp_path):
+    # bench denoises its table and its sweep with one denoise_matrix call
+    # each, so the benchmark's denoise_matrix span sees the bench's work
+    tracer = load_tracer()
+    corpus, model = tmp_path / "corpus", tmp_path / "model"
+    for argv in (["synth", "--n", "200", "--seed", "1", "--out", str(corpus)],
+                 ["train", "--corpus", str(corpus / "contaminated.csv"), "--seed", "2",
+                  "--out", str(model)]):
+        assert tracer.run_traced(argv)["rc"] == 0
+    result = tracer.run_traced(["bench", "--model", str(model / "model.ipvae"),
+                                "--n", "300", "--sweep-n", "200", "--realizations", "4",
+                                "--seed", "3", "--out", str(tmp_path / "bench")])
+    assert result["rc"] == 0
+    assert result["restored"]
+    span = result["spans"]["analysis.denoise_matrix"]
+    assert span["calls"] == 2
+    assert span["self_s"] > 0
