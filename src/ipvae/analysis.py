@@ -113,6 +113,12 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
 
 
+def check_realizations(n_realizations: int) -> None:
+    """Reject fewer than two realizations: a band needs two draws."""
+    if n_realizations < 2:
+        raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
+
+
 def _linear_rule(count: int, q: float) -> tuple[int, int, float]:
     """Where numpy's default ``linear`` rule takes quantile q of ``count``
     sorted values: the ranks of the two values it interpolates between and
@@ -214,8 +220,7 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
     R. From 2^18 samples (L·n·R) on, a ``fork`` pool decodes the groups on
     every usable core; only ``finish``'s results come back.
     """
-    if n_realizations < 2:
-        raise ValueError(f"n_realizations must be >= 2, got {n_realizations}")
+    check_realizations(n_realizations)
     if levels.ndim != 3:
         raise ValueError(f"levels must be an (L, n, d) stack, got shape {levels.shape}")
     n_levels, n, _ = levels.shape
@@ -555,6 +560,7 @@ def denoising_benchmark(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_realizations(n_realizations)
     if len(set(sigmas)) < len(sigmas):  # one result per level, keyed by sigma
         raise ValueError(f"noise levels must not repeat, got {tuple(sigmas)}")
     rng = np.random.default_rng(seed)

@@ -245,9 +245,9 @@ def _fmt_num(value: float) -> str:
 # Rows and cells (rows x columns) per chunk of a table, at most: the cell
 # cap bounds the formatter's temporaries (about 40 bytes per cell for the
 # text slots, 8 for each of its uint64 arrays). A table of at least
-# _PARALLEL_MIN_CELLS cells is formatted by a process pool. On 2 cores, next
-# to a 100 MB parent, a pool costs about 30 ms; 20-column tables break even
-# near 2^17 cells and 63-column tables near 2^19.
+# _PARALLEL_MIN_CELLS cells is formatted and written by a process pool. On 2
+# cores, next to a 100 MB parent, a pool costs about 30 ms; 20-column tables
+# break even near 2^17 cells and 63-column tables near 2^19.
 _CHUNK_ROWS = 4096
 _CHUNK_CELLS = 2**15
 _PARALLEL_MIN_CELLS = 2**18
@@ -527,11 +527,13 @@ def _map_rows(func, shared, ranges: list[slice], pooled: bool):
     When ``pooled``, ``func`` runs in a pool of one worker process per
     usable CPU, at most one per range, if that makes two or more and a
     ``fork`` is safe. The workers inherit ``func`` and ``shared`` through
-    ``fork``; only ranges and results are pickled. Otherwise ``func`` runs
-    lazily in this process, on the same ranges. A worker's exception is
-    raised from the iterator. When the ``with`` block ends the workers skip
-    the ranges not yet started and exit, unkilled: a worker killed while it
-    sends a result would leave the result queue locked.
+    ``fork``; only ranges and ``func``'s results are pickled, so a ``func``
+    that writes its own output (:func:`_place_chunk`) sends back no more
+    than a count. Otherwise ``func`` runs lazily in this process, on the
+    same ranges. A worker's exception is raised from the iterator. When the
+    ``with`` block ends the workers skip the ranges not yet started and
+    exit, unkilled: a worker killed while it sends a result would leave the
+    result queue locked.
     """
     workers = min(_usable_cpus(), len(ranges)) if pooled else 1
     context = _fork_context() if workers > 1 else None
@@ -546,6 +548,49 @@ def _map_rows(func, shared, ranges: list[slice], pooled: bool):
         stop.set()
         pool.close()
         pool.join()
+
+
+# Chunk ends of a table being written: not yet known, or never known
+# because the chunk (or one before it) failed or was skipped.
+_UNKNOWN, _FAILED = -1, -2
+
+
+def _place_chunk(shared, rows: slice) -> int | None:
+    """Format the chunk ``rows`` of the table ``columns`` and write it into
+    the open file ``fd`` at its byte offset; return its length, or None
+    when it is not written because an earlier chunk failed.
+
+    ``shared`` is ``(columns, fd, index, ends, ready)``: chunk i, which
+    starts at the row ``index`` maps to i, starts at byte ``ends[i]``;
+    ``ends[0]`` is the header's length. The chunk waits under ``ready`` only until the chunk before it has
+    published its end, publishes its own and then writes outside the lock,
+    so chunks format and write in parallel but their offsets follow row
+    order. A chunk that raises, or follows a failed one, publishes a
+    failed end, so no chunk behind it waits for it; and a writer that stops
+    early marks every end still unknown as failed before the pool skips the
+    chunks not yet started."""
+    columns, fd, index, ends, ready = shared
+    i = index[rows.start]
+    try:
+        text = table_text(columns, rows)
+    except BaseException:
+        with ready:
+            ends[i + 1] = _FAILED
+            ready.notify_all()
+        raise
+    with ready:
+        ready.wait_for(lambda: ends[i] != _UNKNOWN)
+        start = int(ends[i])
+        failed = start < 0 or ends[i + 1] != _UNKNOWN
+        ends[i + 1] = _FAILED if failed else start + len(text)
+        ready.notify_all()
+    if failed:
+        return None
+    view = memoryview(text)
+    while view:
+        written = os.pwrite(fd, view, start)
+        view, start = view[written:], start + written
+    return len(text)
 
 
 def write_table(path, header: str, *columns) -> None:
@@ -563,13 +608,16 @@ def write_table(path, header: str, *columns) -> None:
     outside its domain (for floats: zero, |x| < 1e-3 or >= 2^52, powers of
     two, inf) and strings call ``repr`` or ``str`` one at a time.
 
-    Chunks are formatted on every usable core: a table of two or more
-    chunks and at least 2^18 cells is formatted by a ``fork`` pool, one
-    task per chunk, of one worker process per usable CPU and at most one
-    per chunk, and the chunk texts are written in row order. Smaller tables,
-    single-CPU hosts, platforms without ``fork`` and processes running
-    other threads format serially; the bytes are the same either way. An
-    error in a worker is raised here and leaves no file behind.
+    Chunks are formatted and written on every usable core: a table of two
+    or more chunks and at least 2^18 cells is handled by a ``fork`` pool,
+    one task per chunk, of one worker process per usable CPU and at most
+    one per chunk. The header is flushed before the pool forks; each worker
+    writes its chunk with ``os.pwrite`` into the file it inherited, at the
+    offset the chunks before it end at (:func:`_place_chunk`), and only the
+    chunk's length comes back. Smaller tables, single-CPU hosts, platforms
+    without ``fork`` and processes running other threads run the same
+    chunks here in row order; the bytes are the same either way. An error
+    in a worker is raised here and leaves no file behind.
     """
     blocks = [np.asarray(c) for c in columns]
     n = len(blocks[0])
@@ -580,10 +628,31 @@ def write_table(path, header: str, *columns) -> None:
             f"{len(names)} column names for blocks of shapes {[b.shape for b in blocks]}"
         )
     ranges = _split_rows(n, max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width)))
-    pooled = n * width >= _PARALLEL_MIN_CELLS
-    with atomic_open(path, "wb") as fh, _map_rows(table_text, blocks, ranges, pooled) as texts:
+    pooled = n * width >= _PARALLEL_MIN_CELLS and min(_usable_cpus(), len(ranges)) > 1
+    context = _fork_context() if pooled else None
+    if context is None:
+        import threading
+        ends, ready = np.empty(len(ranges) + 1, np.int64), threading.Condition()
+    else:  # in memory the pool's workers share with this process
+        import mmap
+        ends = np.frombuffer(mmap.mmap(-1, 8 * (len(ranges) + 1)), np.int64)
+        ready = context.Condition()
+    ends[1:] = _UNKNOWN
+    index = {rows.start: i for i, rows in enumerate(ranges)}
+    with atomic_open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        fh.writelines(texts)
+        fh.flush()
+        ends[0] = fh.tell()
+        shared = (blocks, fh.fileno(), index, ends, ready)
+        with _map_rows(_place_chunk, shared, ranges, context is not None) as lengths:
+            try:
+                for _ in lengths:
+                    pass
+            finally:
+                # stopped early: no chunk may wait for one that will not run
+                with ready:
+                    ends[ends == _UNKNOWN] = _FAILED
+                    ready.notify_all()
 
 
 def write_decays(decays: DecaySet, path) -> None:

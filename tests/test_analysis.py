@@ -540,6 +540,27 @@ class TestDenoisingBenchmark:
         with pytest.raises(ValueError, match="n must be >= 1"):
             denoising_benchmark(model, n, (0.0, 1.0), seed=3, n_realizations=4)
 
+    @pytest.mark.parametrize("realizations", [1, 0])
+    def test_one_realization_rejected_before_any_draw(self, monkeypatch, small_model,
+                                                      realizations):
+        """The realization count is checked before the 50k-decay truth is
+        sampled, with the error ``denoise_matrix`` raises."""
+        model, _ = small_model
+        calls, sample_matrix = [], vae_mod.sample_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_matrix(*args, **kwargs)
+        monkeypatch.setattr(vae_mod, "sample_matrix", counted)
+        with pytest.raises(ValueError) as from_benchmark:
+            denoising_benchmark(model, 50_000, (0.0, 1.0), seed=1, n_realizations=realizations)
+        assert calls == []
+        with pytest.raises(ValueError) as from_matrix:
+            denoise_matrix(model, np.ones((1, 1, model.input_dim)), realizations, 1,
+                           lambda rows, *bands: bands, lambda rows, result: None)
+        assert str(from_benchmark.value) == str(from_matrix.value)
+        assert str(from_matrix.value) == f"n_realizations must be >= 2, got {realizations}"
+
     def test_repeated_sigma_raises(self, small_model):
         # results are keyed by sigma: a repeat would keep one level's numbers
         model, _ = small_model

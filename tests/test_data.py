@@ -1,9 +1,12 @@
 import math
 import multiprocessing
 import os
+import signal
 import threading
+import time
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from multiprocessing.pool import RemoteTraceback
 
 import numpy as np
@@ -493,6 +496,22 @@ def serial_and_pooled_bytes(monkeypatch, tmp_path, write):
     return out
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer than
+    ``seconds``, so a hang fails the test instead of stopping the suite."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def mixed_columns(n):
     """One column of each kind write_table formats, with NaN, inf and -0.0."""
     rng = np.random.default_rng(n)
@@ -537,6 +556,19 @@ class TestPooledWriter:
         assert np.array_equal(read_decays(tmp_path / "force_pool.csv").label, label,
                               equal_nan=True)
 
+    def test_many_small_chunks_same_bytes(self, monkeypatch, tmp_path):
+        """1000 chunks of 3 rows, of irregular length, on 3 workers: each
+        chunk's offset is handed on from the chunk before it, across
+        processes, and a lost or misordered hand-off would move its text."""
+        header = "id,meta,x1,x2,x3,f32,flag,int,u8,name,last"
+        monkeypatch.setattr(data, "_CHUNK_CELLS", 3 * 11)
+        with deadline(60):
+            serial, pooled = serial_and_pooled_bytes(
+                monkeypatch, tmp_path, lambda path: write_table(path, header, *mixed_columns(3000))
+            )
+        assert pooled == serial
+        assert multiprocessing.active_children() == []
+
     def test_zero_rows_write_the_header_alone(self, monkeypatch, tmp_path):
         serial, pooled = serial_and_pooled_bytes(
             monkeypatch, tmp_path,
@@ -564,6 +596,28 @@ class TestPooledWriter:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_parent_holds_no_chunk_text(self, monkeypatch, tmp_path):
+        """A pooled decay file of 20k decays (480k cells, 15 chunks on 3
+        workers) is formatted and written by the workers: the parent's
+        traced peak stays below the text of its smallest chunk."""
+        _, noisy = synthesize_corpus(SyntheticSpec(n=20_000, seed=5))
+        decays, path = DecaySet(noisy), tmp_path / "decays.csv"
+        assert noisy.size + 4 * len(noisy) >= data._PARALLEL_MIN_CELLS
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        write_decays(decays, path)  # the first pool imports multiprocessing's modules
+        tracemalloc.start()
+        try:
+            write_decays(decays, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lengths = np.cumsum([0] + [len(line) for line in path.read_bytes().splitlines(True)[2:]])
+        ranges = data._split_rows(len(noisy), data._CHUNK_CELLS // 24)
+        chunks = [lengths[rows.stop] - lengths[rows.start] for rows in ranges]
+        assert len(chunks) == 15 and min(chunks) > 4 * 10**5
+        assert peak < min(chunks)
+        assert multiprocessing.active_children() == []
 
     def test_workers_gone_after_write(self, monkeypatch, tmp_path):
         force_pool(monkeypatch)
@@ -673,6 +727,52 @@ class TestPooledAtomicOutputs:
         assert target.read_text() == "a,b\n0,1.0\n"
         assert list(tmp_path.iterdir()) == [target]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("chunk", [0, 3, 5])
+    def test_failed_chunk_releases_every_worker(self, monkeypatch, tmp_path, chunk):
+        """The first, a middle or the last of 6 chunks fails on one of 3
+        workers; the chunks that wait for its end stop waiting, the error
+        reaches the caller, and no file, temporary file or worker is left."""
+        column = np.arange(6 * 4096).astype(object)
+        column[chunk * 4096 + 100] = self.Unprintable()
+        force_pool(monkeypatch)
+        assert len(data._split_rows(len(column), data._CHUNK_ROWS)) == 6
+        with deadline(60), pytest.raises(RuntimeError, match="unprintable value") as raised:
+            write_table(tmp_path / "out.csv", "a,b", column, np.ones(len(column)))
+        assert isinstance(raised.value.__cause__, RemoteTraceback)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_releases_every_worker(self, monkeypatch, tmp_path):
+        """Ctrl-C while the third chunk waits for the second, which is then
+        skipped: the interrupt reaches the caller, the waiting worker is
+        released, and no file, temporary file or worker is left."""
+        force_pool(monkeypatch)
+        parent, table_text = os.getpid(), data.table_text
+
+        def interrupting(columns, rows):
+            if rows.start == 0:
+                time.sleep(0.2)  # the third chunk is formatted and waits
+                os.kill(parent, signal.SIGINT)
+            return table_text(columns, rows)
+
+        monkeypatch.setattr(data, "table_text", interrupting)
+        monkeypatch.setattr(data, "_run_adopted", late_second_chunk)
+        with deadline(60), pytest.raises(KeyboardInterrupt):
+            write_table(tmp_path / "out.csv", "a,b", np.arange(6 * 4096), np.ones(6 * 4096))
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+run_adopted = data._run_adopted
+
+
+def late_second_chunk(rows):
+    """``data._run_adopted``, but the worker given the second 4096-row chunk
+    looks at the stop event a second late, and so skips the chunk."""
+    if rows.start == 4096:
+        time.sleep(1)
+    return run_adopted(rows)
 
 
 class TestBulkReader:
