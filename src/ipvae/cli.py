@@ -67,7 +67,7 @@ def _parse_sigmas(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"expected lo:hi:step, got {text!r}")
         lo, hi, step = parts
-        if step <= 0 or hi < lo:
+        if step <= 0 or hi < lo or not np.isfinite([*parts, (hi - lo) / step]).all():
             raise ValueError(f"bad sigma sweep {text!r}")
         count = int(round((hi - lo) / step))
         sigmas = tuple(lo + i * step for i in range(count + 1))

@@ -247,7 +247,9 @@ def _fmt_num(value: float) -> str:
 # text slots, 8 for each of its uint64 arrays). A table of at least
 # _PARALLEL_MIN_CELLS cells is formatted and written by a process pool. On 2
 # cores, next to a 100 MB parent, a pool costs about 30 ms; 20-column tables
-# break even near 2^17 cells and 63-column tables near 2^19.
+# break even near 2^17 cells. The tables that reach the pool are 24-column
+# decay files from 10 923 rows and report's 4-column latent_scatter.csv
+# (K=2) from 65 536 rows.
 _CHUNK_ROWS = 4096
 _CHUNK_CELLS = 2**15
 _PARALLEL_MIN_CELLS = 2**18
@@ -528,12 +530,12 @@ def _map_rows(func, shared, ranges: list[slice], pooled: bool):
     usable CPU, at most one per range, if that makes two or more and a
     ``fork`` is safe. The workers inherit ``func`` and ``shared`` through
     ``fork``; only ranges and ``func``'s results are pickled, so a ``func``
-    that writes its own output (:func:`_place_chunk`) sends back no more
-    than a count. Otherwise ``func`` runs lazily in this process, on the
-    same ranges. A worker's exception is raised from the iterator. When the
-    ``with`` block ends the workers skip the ranges not yet started and
-    exit, unkilled: a worker killed while it sends a result would leave the
-    result queue locked.
+    that writes its own output (:func:`_place_chunk`) sends back nothing.
+    Otherwise ``func`` runs lazily in this process, on the same ranges. A
+    worker's exception is raised from the iterator. When the ``with`` block
+    ends the workers skip the ranges not yet started and exit, unkilled: a
+    worker killed while it sends a result would leave the result queue
+    locked.
     """
     workers = min(_usable_cpus(), len(ranges)) if pooled else 1
     context = _fork_context() if workers > 1 else None
@@ -550,47 +552,32 @@ def _map_rows(func, shared, ranges: list[slice], pooled: bool):
         pool.join()
 
 
-# Chunk ends of a table being written: not yet known, or never known
-# because the chunk (or one before it) failed or was skipped.
-_UNKNOWN, _FAILED = -1, -2
+# The turn of a table's chunks once its writer has stopped: a chunk still
+# waiting for its turn returns without writing.
+_FAILED = -1
 
 
-def _place_chunk(shared, rows: slice) -> int | None:
-    """Format the chunk ``rows`` of the table ``columns`` and write it into
-    the open file ``fd`` at its byte offset; return its length, or None
-    when it is not written because an earlier chunk failed.
+def _place_chunk(shared, rows: slice) -> None:
+    """Format the chunk ``rows`` of the table ``columns`` and append it to
+    the open file ``fd`` in row order.
 
-    ``shared`` is ``(columns, fd, index, ends, ready)``: chunk i, which
-    starts at the row ``index`` maps to i, starts at byte ``ends[i]``;
-    ``ends[0]`` is the header's length. The chunk waits under ``ready`` only until the chunk before it has
-    published its end, publishes its own and then writes outside the lock,
-    so chunks format and write in parallel but their offsets follow row
-    order. A chunk that raises, or follows a failed one, publishes a
-    failed end, so no chunk behind it waits for it; and a writer that stops
-    early marks every end still unknown as failed before the pool skips the
-    chunks not yet started."""
-    columns, fd, index, ends, ready = shared
-    i = index[rows.start]
-    try:
-        text = table_text(columns, rows)
-    except BaseException:
-        with ready:
-            ends[i + 1] = _FAILED
-            ready.notify_all()
-        raise
+    ``shared`` is ``(columns, fd, turn, ready)``: ``turn[0]`` is the row at
+    which the next chunk to append starts. Chunks format in parallel, then
+    wait under ``ready`` for their turn, append their text with ``os.write``
+    (a process forked while the file is open shares its offset) and hand the
+    turn on as ``rows.stop``. A chunk that finds the turn set to
+    ``_FAILED`` writes nothing."""
+    columns, fd, turn, ready = shared
+    text = table_text(columns, rows)
     with ready:
-        ready.wait_for(lambda: ends[i] != _UNKNOWN)
-        start = int(ends[i])
-        failed = start < 0 or ends[i + 1] != _UNKNOWN
-        ends[i + 1] = _FAILED if failed else start + len(text)
+        ready.wait_for(lambda: turn[0] in (rows.start, _FAILED))
+        if turn[0] == _FAILED:
+            return
+        view = memoryview(text)
+        while view:
+            view = view[os.write(fd, view):]
+        turn[0] = rows.stop
         ready.notify_all()
-    if failed:
-        return None
-    view = memoryview(text)
-    while view:
-        written = os.pwrite(fd, view, start)
-        view, start = view[written:], start + written
-    return len(text)
 
 
 def write_table(path, header: str, *columns) -> None:
@@ -612,12 +599,12 @@ def write_table(path, header: str, *columns) -> None:
     or more chunks and at least 2^18 cells is handled by a ``fork`` pool,
     one task per chunk, of one worker process per usable CPU and at most
     one per chunk. The header is flushed before the pool forks; each worker
-    writes its chunk with ``os.pwrite`` into the file it inherited, at the
-    offset the chunks before it end at (:func:`_place_chunk`), and only the
-    chunk's length comes back. Smaller tables, single-CPU hosts, platforms
-    without ``fork`` and processes running other threads run the same
-    chunks here in row order; the bytes are the same either way. An error
-    in a worker is raised here and leaves no file behind.
+    formats its chunk and appends it, in row order, to the file it
+    inherited (:func:`_place_chunk`), and no chunk text comes back. Smaller
+    tables, single-CPU hosts, platforms without ``fork`` and processes
+    running other threads run the same chunks here in row order; the bytes
+    are the same either way. An error in a worker is raised here and
+    leaves no file behind.
     """
     blocks = [np.asarray(c) for c in columns]
     n = len(blocks[0])
@@ -628,30 +615,26 @@ def write_table(path, header: str, *columns) -> None:
             f"{len(names)} column names for blocks of shapes {[b.shape for b in blocks]}"
         )
     ranges = _split_rows(n, max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width)))
-    pooled = n * width >= _PARALLEL_MIN_CELLS and min(_usable_cpus(), len(ranges)) > 1
-    context = _fork_context() if pooled else None
-    if context is None:
-        import threading
-        ends, ready = np.empty(len(ranges) + 1, np.int64), threading.Condition()
-    else:  # in memory the pool's workers share with this process
-        import mmap
-        ends = np.frombuffer(mmap.mmap(-1, 8 * (len(ranges) + 1)), np.int64)
-        ready = context.Condition()
-    ends[1:] = _UNKNOWN
-    index = {rows.start: i for i, rows in enumerate(ranges)}
+    import mmap
+    import multiprocessing
+
+    # the fork context's Condition needs no helper process where fork exists
+    methods = multiprocessing.get_all_start_methods()
+    ready = multiprocessing.get_context("fork" if "fork" in methods else None).Condition()
+    turn = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # zero-filled: row 0 first
     with atomic_open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         fh.flush()
-        ends[0] = fh.tell()
-        shared = (blocks, fh.fileno(), index, ends, ready)
-        with _map_rows(_place_chunk, shared, ranges, context is not None) as lengths:
+        shared = (blocks, fh.fileno(), turn, ready)
+        pooled = n * width >= _PARALLEL_MIN_CELLS
+        with _map_rows(_place_chunk, shared, ranges, pooled) as chunks:
             try:
-                for _ in lengths:
+                for _ in chunks:
                     pass
             finally:
-                # stopped early: no chunk may wait for one that will not run
+                # however the loop ends (done, an error, Ctrl-C): release every waiting chunk
                 with ready:
-                    ends[ends == _UNKNOWN] = _FAILED
+                    turn[0] = _FAILED
                     ready.notify_all()
 
 

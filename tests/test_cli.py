@@ -409,6 +409,11 @@ class TestBench:
         ("--sigmas", "1,1,2", "--sigmas must be at least two distinct finite values"),
         ("--sigmas", "0,nan", "--sigmas must be at least two distinct finite values"),
         ("--sigmas", "3:0:1", "bad sigma sweep '3:0:1'"),
+        ("--sigmas", "0:inf:1", "bad sigma sweep '0:inf:1'"),
+        ("--sigmas", "0:nan:1", "bad sigma sweep '0:nan:1'"),
+        ("--sigmas", "nan:1:0.5", "bad sigma sweep 'nan:1:0.5'"),
+        ("--sigmas", "0:1:nan", "bad sigma sweep '0:1:nan'"),
+        ("--sigmas", "0:1e308:1e-300", "bad sigma sweep '0:1e308:1e-300'"),
     ])
     def test_bad_flag_rejected_before_model_load(self, tmp_path, capsys, flag, value,
                                                  message):

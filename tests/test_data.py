@@ -569,6 +569,16 @@ class TestPooledWriter:
         assert pooled == serial
         assert multiprocessing.active_children() == []
 
+    def test_same_bytes_without_pwrite(self, monkeypatch, tmp_path):
+        """Chunks are appended in turn, so no positioned write is needed."""
+        monkeypatch.delattr(os, "pwrite")
+        header = "id,meta,x1,x2,x3,f32,flag,int,u8,name,last"
+        columns = mixed_columns(3 * 4096 + 1)
+        serial, pooled = serial_and_pooled_bytes(
+            monkeypatch, tmp_path, lambda path: write_table(path, header, *columns)
+        )
+        assert pooled == serial
+
     def test_zero_rows_write_the_header_alone(self, monkeypatch, tmp_path):
         serial, pooled = serial_and_pooled_bytes(
             monkeypatch, tmp_path,
@@ -686,6 +696,14 @@ class TestRowRanges:
             assert os.getpid() not in pids and len(set(pids)) <= workers
         else:
             assert set(pids) == {os.getpid()}
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_table_checks_fork_once(self, monkeypatch, tmp_path):
+        """write_table leaves the pool decision to _map_rows."""
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+        checks = count_fork_checks(monkeypatch)
+        write_table(tmp_path / "t.csv", "a,b", np.arange(200_000), np.ones(200_000))
+        assert len(checks) == 1
         assert multiprocessing.active_children() == []
 
     def test_serial_table_in_equal_ranges(self, monkeypatch):
