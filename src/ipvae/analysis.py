@@ -212,7 +212,8 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
     a call on those m rows alone, and results depend neither on the block
     size nor on the pool.
 
-    Each level is encoded here on its own, in :func:`vae.encode`'s blocks.
+    Each level is encoded here on its own, in :func:`vae.encode`'s blocks,
+    straight into the stack's posterior arrays.
     Each group is one task, decoded in blocks whose R samples pass the
     decoder's widest layer in at most 2^18 multiply-adds (8 rows for the
     default model at R=100), which OpenBLAS runs on the calling thread; a
@@ -227,7 +228,7 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
     roots = np.random.default_rng(rng).integers(2**63, size=(n_levels, 2))
     mu, sigma = (np.empty((n_levels, n, model.latent_dim)) for _ in range(2))
     for level, values in enumerate(levels):
-        mu[level], sigma[level] = vae_mod.encode(model, values)
+        vae_mod._encode_into(model, values, mu[level], sigma[level])
     ranges = [slice(level * n + start, level * n + min(start + _NOISE_ROWS, n))
               for level in range(n_levels) for start in range(0, n, _NOISE_ROWS)]
     block = vae_mod._block_rows(model.decoder.layers, n_realizations)

@@ -61,6 +61,12 @@ def _parse_range(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+# The most noise levels a lo:hi:step sweep may name, checked before they are
+# built: bench holds --sweep-n decays per level, 320 KB at the default 2000
+# decays of 20 windows (320 MB for 1000 levels).
+_MAX_SIGMAS = 1000
+
+
 def _parse_sigmas(text: str) -> tuple[float, ...]:
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
@@ -70,6 +76,9 @@ def _parse_sigmas(text: str) -> tuple[float, ...]:
         if step <= 0 or hi < lo or not np.isfinite([*parts, (hi - lo) / step]).all():
             raise ValueError(f"bad sigma sweep {text!r}")
         count = int(round((hi - lo) / step))
+        if count >= _MAX_SIGMAS:
+            raise ValueError(
+                f"bad sigma sweep {text!r}: {count + 1} levels, at most {_MAX_SIGMAS}")
         sigmas = tuple(lo + i * step for i in range(count + 1))
         return tuple(s for s in sigmas if s <= hi + 1e-12)
     return tuple(float(p) for p in text.split(","))
@@ -106,10 +115,12 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         scheme=scheme,
     )
-    truth, noisy = data_mod.synthesize_corpus(spec)
+    # one (n, d) matrix: the truth is written, then contaminated in place
+    values = data_mod.generate_ground_truth(spec)
     out = _out_dir(args)
-    data_mod.write_decays(DecaySet(truth, scheme), os.path.join(out, "ground_truth.csv"))
-    data_mod.write_decays(DecaySet(noisy, scheme), os.path.join(out, "contaminated.csv"))
+    data_mod.write_decays(DecaySet(values, scheme), os.path.join(out, "ground_truth.csv"))
+    data_mod.contaminate_corpus(values, spec)
+    data_mod.write_decays(DecaySet(values, scheme), os.path.join(out, "contaminated.csv"))
     _echo_config(out, "synth", args)
     print(f"synth: wrote {spec.n} decay pairs to {out}")
     return 0

@@ -247,17 +247,24 @@ def encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_row_blocks`, with the bits of one pass over the whole batch.
     """
     x, single = _as_batch(x, model.input_dim, "input")
-    (w_mu, b_mu), (w_lv, b_lv) = model.mu_head, model.logvar_head
     mu = np.empty((len(x), model.latent_dim))
     sigma = np.empty_like(mu)
+    _encode_into(model, x, mu, sigma)
+    if single:
+        return mu[0], sigma[0]
+    return mu, sigma
+
+
+def _encode_into(model: VaeModel, x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> None:
+    """Write :func:`encode`'s (mu, sigma) of the (n, d) raw values ``x``
+    into the (n, K) arrays ``mu`` and ``sigma``, block by block."""
+    x, _ = _as_batch(x, model.input_dim, "input")
+    (w_mu, b_mu), (w_lv, b_lv) = model.mu_head, model.logvar_head
     layers = [*model.encoder.layers, model.mu_head, model.logvar_head]
     for rows in _row_blocks(len(x), layers):
         h = model.encoder.forward(_standardize(model, x[rows]))
         mu[rows] = h @ w_mu.T + b_mu
         sigma[rows] = np.exp(0.5 * (h @ w_lv.T + b_lv))
-    if single:
-        return mu[0], sigma[0]
-    return mu, sigma
 
 
 def reparametrize(
@@ -391,6 +398,34 @@ def loss_backward(model: VaeModel, cache: VaeCache) -> list[np.ndarray]:
     return enc_grads + [mu_w_grad, mu_b_grad, lv_w_grad, lv_b_grad] + dec_grads
 
 
+# Values per leaf of _std's sum: a leaf's squared deviations are one
+# temporary of at most 512 KB.
+_STD_LEAF = 2**16
+
+
+def _std(values: np.ndarray, mean: np.float64) -> float:
+    """``values.std()`` of a C-contiguous array whose ``values.mean()`` is
+    ``mean``, bit for bit, without numpy's temporary of all the deviations.
+
+    numpy sums a contiguous array pairwise: a run of more than 128 values
+    is the sum of its two halves, the first half rounded down to a multiple
+    of 8. The squared deviations are summed over the nodes of that same
+    tree; a node of at most _STD_LEAF values is summed by numpy itself, from
+    a temporary of its squared deviations.
+    """
+    flat = values.reshape(-1)
+
+    def total(start: int, size: int):
+        if size > _STD_LEAF:
+            half = size // 2 - size // 2 % 8
+            return total(start, half) + total(start + half, size - half)
+        dev = flat[start:start + size] - mean
+        dev *= dev
+        return np.add.reduce(dev)
+
+    return float(np.sqrt(total(0, flat.size) / flat.size))
+
+
 def train(
     model: VaeModel,
     corpus: np.ndarray,
@@ -405,7 +440,7 @@ def train(
     partial batch is dropped. Deterministic given (corpus, config). Trains
     the model in place: Adam updates model.params.
     """
-    values = np.asarray(corpus, dtype=np.float64)
+    values = np.ascontiguousarray(corpus, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
         raise ValueError("corpus must be a non-empty (n, d) matrix")
     if values.shape[1] != model.input_dim:
@@ -420,8 +455,9 @@ def train(
         rng = np.random.default_rng(config.seed)
 
     if config.standardize:
-        model.input_offset = float(values.mean())
-        scale = float(values.std())
+        mean = values.mean()
+        model.input_offset = float(mean)
+        scale = _std(values, mean)
         model.input_scale = scale if scale > 0 else 1.0
     else:
         model.input_offset = 0.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ipvae import analysis, data, vae
-from ipvae.cli import _write_json, main
+from ipvae.cli import _parse_sigmas, _write_json, main
 from ipvae.data import write_table
 
 DATA_FILES = {
@@ -115,6 +115,20 @@ class TestSynth:
         assert run("synth", "--n", 10, flag, value, "--seed", 1,
                    "--out", tmp_path / "out") == 3
         assert_rejected_early(capsys, tmp_path / "out", message)
+
+    @pytest.mark.parametrize("n, noise, spike_prob", [
+        (3 * data._SYNTH_ROWS + 7, 0.8, 0.2),
+        # 12 000 decay rows of 24 columns reach the pooled writer
+        (12_000, 1.1, 0.01),
+        (5, 0.0, 1.0),
+    ])
+    def test_files_are_the_library_corpus(self, tmp_path, n, noise, spike_prob):
+        assert run("synth", "--n", n, "--noise", noise, "--spike-prob", spike_prob,
+                   "--seed", 5, "--out", tmp_path / "cli") == 0
+        spec = data.SyntheticSpec(n=n, noise_sigma=noise, spike_prob=spike_prob, seed=5)
+        for name, values in zip(DATA_FILES["synth"], data.synthesize_corpus(spec)):
+            data.write_decays(data.DecaySet(values), tmp_path / name)
+            assert filecmp.cmp(tmp_path / "cli" / name, tmp_path / name, shallow=False)
 
     def test_config_echo_written(self, tmp_path):
         assert run("synth", "--n", 20, "--seed", 9, "--out", tmp_path) == 0
@@ -414,6 +428,10 @@ class TestBench:
         ("--sigmas", "nan:1:0.5", "bad sigma sweep 'nan:1:0.5'"),
         ("--sigmas", "0:1:nan", "bad sigma sweep '0:1:nan'"),
         ("--sigmas", "0:1e308:1e-300", "bad sigma sweep '0:1e308:1e-300'"),
+        ("--sigmas", "0:1:0.001", "bad sigma sweep '0:1:0.001': 1001 levels, at most 1000"),
+        # 10^12 levels: refused before any of them is built
+        ("--sigmas", "0:1e6:1e-6",
+         "bad sigma sweep '0:1e6:1e-6': 1000000000001 levels, at most 1000"),
     ])
     def test_bad_flag_rejected_before_model_load(self, tmp_path, capsys, flag, value,
                                                  message):
@@ -422,6 +440,9 @@ class TestBench:
         assert run("bench", "--model", tmp_path / "missing.ipvae", flag, *value,
                    "--seed", 3, "--out", tmp_path / "out") == 3
         assert_rejected_early(capsys, tmp_path / "out", message)
+
+    def test_sweep_of_most_levels_accepted(self):
+        assert len(_parse_sigmas("0:0.999:0.001")) == 1000
 
     def test_reproducible(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"

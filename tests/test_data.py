@@ -189,6 +189,61 @@ class TestContaminate:
         assert spikes.max() <= 10.0 + 1e-9
 
 
+def whole_ground_truth(spec):
+    """generate_ground_truth as one formula over the whole corpus."""
+    rng = np.random.default_rng(spec.seed)
+    m0 = rng.uniform(*spec.m0_range, spec.n)
+    tau = rng.uniform(*spec.tau_range, spec.n)
+    c = rng.uniform(*spec.c_range, spec.n)
+    t = spec.scheme.midpoints_s()
+    return m0[:, None] * np.exp(-((t[None, :] / tau[:, None]) ** c[:, None]))
+
+
+def whole_contaminate(values, noise_sigma, spike_prob, seed):
+    """contaminate with the whole (n, d) noise drawn at once."""
+    rng = np.random.default_rng(seed)
+    n, d = values.shape
+    out = values + rng.normal(0.0, noise_sigma, size=(n, d))
+    spiked = rng.random(n) < spike_prob
+    spike_col = rng.integers(0, d, size=n)
+    base = noise_sigma if noise_sigma > 0 else data.SPIKE_FLOOR_MV
+    magnitude = rng.uniform(5.0 * base, 10.0 * base, size=n)
+    sign = rng.choice((-1.0, 1.0), size=n)
+    rows = np.flatnonzero(spiked)
+    out[rows, spike_col[rows]] += sign[rows] * magnitude[rows]
+    return out
+
+
+class TestBlockedSynthesis:
+    """Row blocks give the bits of the whole-matrix formulas and draws."""
+
+    @pytest.mark.parametrize("n", [1, data._SYNTH_ROWS - 1, data._SYNTH_ROWS,
+                                   data._SYNTH_ROWS + 1, 3 * data._SYNTH_ROWS + 7])
+    @pytest.mark.parametrize("noise_sigma, spike_prob", [(1.1, 0.3), (0.0, 0.3), (0.7, 0.0)])
+    def test_same_bits_as_whole_matrix(self, n, noise_sigma, spike_prob):
+        spec = SyntheticSpec(n=n, noise_sigma=noise_sigma, spike_prob=spike_prob, seed=n)
+        truth = whole_ground_truth(spec)
+        noisy = whole_contaminate(truth, noise_sigma, spike_prob, spec.seed + 1)
+        values = generate_ground_truth(spec)
+        assert values.tobytes() == truth.tobytes()
+        data.contaminate_corpus(values, spec)
+        assert values.tobytes() == noisy.tobytes()
+        pair = synthesize_corpus(spec)
+        assert pair[0].tobytes() == truth.tobytes() and pair[1].tobytes() == noisy.tobytes()
+        kept = truth.copy()
+        out = contaminate(truth, noise_sigma, spike_prob, seed=spec.seed + 1)
+        assert out.tobytes() == noisy.tobytes()
+        assert truth.tobytes() == kept.tobytes() and not np.shares_memory(out, truth)
+
+    def test_contaminate_copies_any_layout(self):
+        truth = generate_ground_truth(SyntheticSpec(n=300, seed=8))
+        fortran = np.asfortranarray(truth)
+        out = contaminate(fortran, 0.5, 0.2, seed=3)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == whole_contaminate(truth, 0.5, 0.2, 3).tobytes()
+        assert np.array_equal(fortran, truth)
+
+
 def write_corpus(path, n, seed):
     _, noisy = synthesize_corpus(SyntheticSpec(n=n, seed=seed))
     write_decays(DecaySet(noisy), path)

@@ -330,6 +330,28 @@ class TestTrain:
         assert len(sm) == 8
 
 
+class TestStandardization:
+    """train's input offset and scale are values.mean() and values.std()
+    bit for bit, with the deviation sum taken over numpy's pairwise tree."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16,
+                                      2**16 + 1, 2**17 + 3, 20 * 12_345])
+    def test_blocked_std_is_numpy_std(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.normal(5.0, 7.0, size) + rng.uniform(0.0, 40.0, size)
+        shapes = [(1, size), (size, 1)] + ([(size // 20, 20)] if size % 20 == 0 else [])
+        for shape in shapes:
+            matrix = values.reshape(shape)
+            assert vae_mod._std(matrix, matrix.mean()) == float(matrix.std())
+
+    def test_train_sets_mean_and_std(self):
+        rng = np.random.default_rng(4)
+        corpus = rng.normal(3.0, 2.0, (2**16 // 20 * 3 + 5, 20))
+        model, _ = train_new(corpus, TrainConfig(seed=2, batch_size=4096))
+        assert model.input_offset == float(corpus.mean())
+        assert model.input_scale == float(corpus.std())
+
+
 class TestSample:
     def test_sigma_zero_collapses_to_origin_decode(self, small_model):
         model, _ = small_model
