@@ -139,18 +139,26 @@ def _lerp(a, b, gamma: float):
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-def sorted_quantiles(s: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
-    """``np.quantile(s, q, axis=-1)`` for each q in [0, 1], bit for bit, from
-    ``s`` already sorted along its last axis: numpy's ``linear`` rule (see
-    :func:`_linear_rule`), its ``_lerp``, and NaN wherever a slice holds one
-    (NaN sorts last).
-    """
-    last = s[..., -1]
+def _quantile_ranks(count: int, qs: tuple[float, ...]) -> list[int]:
+    """The ranks of ``count`` sorted values that the quantiles ``qs`` read
+    (see :func:`_linear_rule`), and the last rank, where a NaN sorts;
+    ascending and distinct."""
+    return sorted({rank for q in qs for rank in _linear_rule(count, q)[:2]} | {count - 1})
+
+
+def _ranked_quantiles(picked: np.ndarray, count: int, qs: tuple[float, ...],
+                      ranks: list[int]) -> list[np.ndarray]:
+    """``np.quantile(s, q, axis=-1)`` for each q in ``qs``, bit for bit,
+    from ``picked``, the values at the :func:`_quantile_ranks` ``ranks`` of
+    ``s``, ``count`` values sorted along its last axis: numpy's ``linear``
+    rule (see :func:`_linear_rule`), its ``_lerp``, and NaN wherever a slice
+    holds one (NaN sorts last)."""
+    last = picked[..., -1]
     nan = np.isnan(last)
     out = []
     for q in qs:
-        i, j, gamma = _linear_rule(s.shape[-1], q)
-        res = _lerp(s[..., i], s[..., j], gamma)
+        i, j, gamma = _linear_rule(count, q)
+        res = _lerp(picked[..., ranks.index(i)], picked[..., ranks.index(j)], gamma)
         np.copyto(res, last, where=nan)
         out.append(res)
     return out
@@ -166,27 +174,70 @@ _POOL_MIN_SAMPLES = 2**18
 _NOISE_ROWS = 256
 
 
+# The quantiles each decay's reconstructions are reduced to: its median and
+# the ends of its 95% band
+_BAND = (0.5, 0.025, 0.975)
+
+
+class _Workspace:
+    """The buffers a process decodes every block of one denoising call in,
+    built on the first group it decodes: for a block of ``rows`` rows of R
+    samples each, its noise (then its latent draws), the rows' posterior
+    means and scales repeated R times, each decoder layer's output and its
+    bias repeated down the block's samples, and the transposed
+    reconstructions; and for a group of up to ``group_rows`` rows, the
+    values at its quantile ranks."""
+
+    def __init__(self, model: VaeModel, realizations: int, rows: int, group_rows: int):
+        shape = (rows, realizations, model.latent_dim)
+        self.z, self.mu, self.sigma = (np.empty(shape) for _ in range(3))
+        samples = rows * realizations
+        self.outputs = [np.empty((samples, len(b))) for _, b in model.decoder.layers]
+        self.biases = [np.tile(b, (samples, 1)) for _, b in model.decoder.layers]
+        self.sorted = np.empty((rows, model.input_dim, realizations))
+        self.ranks = _quantile_ranks(realizations, _BAND)
+        self.picked = np.empty((group_rows, model.input_dim, len(self.ranks)))
+
+
 def _denoise_rows(shared, rows: slice):
     """``finish(rows, median, ci_low, ci_high)`` of the noise group ``rows``,
     whose 0.5, 0.025 and 0.975 quantiles, (c, d) each, are decoded block by
     block. The rows of ``mu`` are levels of n rows, stacked; the group's
     noise stream is keyed by its place in its level, under the level's
-    root."""
-    model, mu, sigma, n, realizations, roots, block, finish = shared
+    root.
+
+    Each block is decoded in this process's :class:`_Workspace` of the call
+    and sorted in standardized units; only the values at the quantiles'
+    ranks are kept, and unstandardized once per group. ``x·scale + offset``
+    is monotone in IEEE arithmetic for a scale > 0, so these are the order
+    statistics of the unstandardized values, bit for bit.
+    """
+    model, mu, sigma, n, realizations, roots, block, finish, workspace = shared
     level, offset = divmod(rows.start, n)
     rng = np.random.default_rng(
         np.random.SeedSequence(roots[level], spawn_key=(offset // _NOISE_ROWS,)))
-    quantiles = np.empty((3, rows.stop - rows.start, model.input_dim))
-    for start in range(rows.start, rows.stop, block):
-        stop = min(start + block, rows.stop)
-        eps = rng.standard_normal((stop - start, realizations, mu.shape[1]))
-        z = mu[start:stop, None] + eps * sigma[start:stop, None]
-        recs = vae_mod.decode(model, z.reshape(-1, z.shape[-1]))
-        recs = recs.reshape(-1, realizations, model.input_dim).transpose(0, 2, 1).copy()
-        recs.sort(axis=-1)
-        quantiles[:, start - rows.start:stop - rows.start] = sorted_quantiles(
-            recs, (0.5, 0.025, 0.975))
-    return finish(rows, *quantiles)
+    if not workspace:
+        workspace.append(_Workspace(model, realizations, min(block, n, _NOISE_ROWS),
+                                    min(n, _NOISE_ROWS)))
+    ws = workspace[0]
+    picked = ws.picked[:rows.stop - rows.start]
+    for start in range(0, len(picked), block):
+        m = min(block, len(picked) - start)
+        own = slice(rows.start + start, rows.start + start + m)
+        z = ws.z[:m]
+        rng.standard_normal(out=z)
+        np.copyto(ws.mu[:m], mu[own, None])
+        np.copyto(ws.sigma[:m], sigma[own, None])
+        np.multiply(z, ws.sigma[:m], out=z)
+        np.add(z, ws.mu[:m], out=z)
+        recs = model.decoder.forward_into(z.reshape(-1, z.shape[-1]), ws.outputs, ws.biases)
+        s = ws.sorted[:m]
+        np.copyto(s, recs.reshape(m, realizations, -1).transpose(0, 2, 1))
+        s.sort(axis=-1)
+        np.take(s, ws.ranks, axis=-1, out=picked[start:start + m], mode="clip")
+    picked *= model.input_scale
+    picked += model.input_offset
+    return finish(rows, *_ranked_quantiles(picked, realizations, _BAND, ws.ranks))
 
 
 def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
@@ -224,6 +275,8 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
     check_realizations(n_realizations)
     if levels.ndim != 3:
         raise ValueError(f"levels must be an (L, n, d) stack, got shape {levels.shape}")
+    if not 0.0 < model.input_scale < math.inf:  # see _denoise_rows
+        raise ValueError(f"model input_scale must be finite and > 0, got {model.input_scale}")
     n_levels, n, _ = levels.shape
     roots = np.random.default_rng(rng).integers(2**63, size=(n_levels, 2))
     mu, sigma = (np.empty((n_levels, n, model.latent_dim)) for _ in range(2))
@@ -233,7 +286,7 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
               for level in range(n_levels) for start in range(0, n, _NOISE_ROWS)]
     block = vae_mod._block_rows(model.decoder.layers, n_realizations)
     shared = (model, mu.reshape(-1, model.latent_dim), sigma.reshape(-1, model.latent_dim),
-              n, n_realizations, roots, block, finish)
+              n, n_realizations, roots, block, finish, [])  # [] holds the _Workspace
     pooled = n_levels * n * n_realizations >= _POOL_MIN_SAMPLES
     with data._map_rows(_denoise_rows, shared, ranges, pooled) as done:
         for rows, result in zip(ranges, done):
@@ -391,14 +444,26 @@ def density_range(values: np.ndarray, coverage: float = DENSITY_COVERAGE) -> tup
     return lo, hi
 
 
+# Values per block of _add_counts: each of its temporaries is at most 64 KB
+_COUNT_VALUES = 2**13
+
+
 def _add_counts(counts: np.ndarray, values: np.ndarray, lo: float, hi: float) -> None:
     """Add the per-column bin counts of the (m, d) ``values`` into the
-    (bins, d) ``counts``, one column at a time. Out-of-range amplitudes are
-    clipped into the edge bins."""
-    bins = len(counts)
-    for j in range(values.shape[1]):
-        idx = np.clip(((values[:, j] - lo) / (hi - lo) * bins).astype(int), 0, bins - 1)
-        counts[:, j] += np.bincount(idx, minlength=bins)
+    (bins, d) ``counts``, in blocks of rows of at most ``_COUNT_VALUES``
+    values, each binned with one ``bincount`` of every column's bins.
+    Out-of-range amplitudes are clipped into the edge bins."""
+    bins, d = counts.shape
+    first_bin = np.arange(d) * bins  # of each column, in the one bincount
+    rows = max(1, _COUNT_VALUES // d)
+    for start in range(0, len(values), rows):
+        scaled = values[start:start + rows] - lo
+        scaled /= hi - lo
+        scaled *= bins
+        idx = scaled.astype(int)
+        np.clip(idx, 0, bins - 1, out=idx)
+        idx += first_bin
+        counts += np.bincount(idx.ravel(), minlength=bins * d).reshape(d, bins).T
 
 
 def density_chart(

@@ -61,6 +61,9 @@ class WindowScheme:
 
 DEFAULT_SCHEME = WindowScheme()
 
+# Values per block of DecaySet's finiteness check: a 64 KB bool temporary
+_FINITE_CHECK_VALUES = 2**16
+
 
 @dataclass
 class DecaySet:
@@ -88,9 +91,13 @@ class DecaySet:
                 f"expected n >= 1 rows of {self.scheme.count} window values, got shape {shape}"
             )
         n = shape[0]
-        bad = np.argwhere(~np.isfinite(self.values))
-        if bad.size:
-            raise ValueError(f"column 'm{bad[0, 1] + 1}': non-finite window value")
+        # checked in row blocks, so the check's temporaries stay small
+        block = max(1, _FINITE_CHECK_VALUES // shape[1])
+        for start in range(0, n, block):
+            values = self.values[start:start + block]
+            if not np.isfinite(values).all():
+                bad = np.argwhere(~np.isfinite(values))
+                raise ValueError(f"column 'm{bad[0, 1] + 1}': non-finite window value")
         for name in _META_COLUMNS[1:]:
             column = getattr(self, name)
             column = np.full(n, np.nan) if column is None else np.asarray(column, float)
@@ -279,14 +286,15 @@ def _fmt_num(value: float) -> str:
 # Rows and cells (rows x columns) per chunk of a table, at most: the cell
 # cap bounds the formatter's temporaries (about 40 bytes per cell for the
 # text slots, 8 for each of its uint64 arrays). A table of at least
-# _PARALLEL_MIN_CELLS cells is formatted and written by a process pool. On 2
-# cores, next to a 100 MB parent, a pool costs about 30 ms; 20-column tables
-# break even near 2^17 cells. The tables that reach the pool are 24-column
-# decay files from 10 923 rows and report's 4-column latent_scatter.csv
-# (K=2) from 65 536 rows.
+# _PARALLEL_MIN_CELLS cells is formatted and written by a process pool, for
+# memory: from 2^16 cells, a serial chunk's formatter temporaries (about
+# 3.5 MB) raise the parent's peak more than a pool's workers, forked from it,
+# rise above it (about 1 MB). The tables that reach the pool are 24-column
+# decay files from 2731 rows and report's 4-column latent_scatter.csv (K=2)
+# from 16 384 rows.
 _CHUNK_ROWS = 4096
 _CHUNK_CELLS = 2**15
-_PARALLEL_MIN_CELLS = 2**18
+_PARALLEL_MIN_CELLS = 2**16
 
 
 # --- number text ------------------------------------------------------------
@@ -512,20 +520,21 @@ def table_text(columns, rows: slice = slice(None)) -> bytes:
     return b"".join(pieces)
 
 
-# (func, shared, stop) in a pool worker, set once by _adopt_task from its fork
+# (func, shared, turn, ready) in a pool worker, set once by _adopt_task from
+# its fork; None in every other process
 _worker_task = None
 
 
-def _adopt_task(func, shared, stop) -> None:
+def _adopt_task(func, shared, turn, ready) -> None:
     global _worker_task
     import signal  # Ctrl-C stops the parent, which then stops the pool
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_task = (func, shared, stop)
+    _worker_task = (func, shared, turn, ready)
 
 
 def _run_adopted(rows: slice):
-    func, shared, stop = _worker_task
-    return None if stop.is_set() else func(shared, rows)
+    func, shared, turn, _ = _worker_task
+    return None if turn[0] == _FAILED else func(shared, rows)
 
 
 def _usable_cpus() -> int:
@@ -555,63 +564,87 @@ def _split_rows(n: int, max_rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *edges], edges)]
 
 
+# The turn of a pool's ranges once its caller has stopped taking results: a
+# range still waiting for its turn returns without appending, and a range
+# not yet started is skipped.
+_FAILED = -1
+
+
 @contextmanager
 def _map_rows(func, shared, ranges: list[slice], pooled: bool):
-    """Yield an iterator of ``func(shared, rows)`` over the row ``ranges``,
-    in order.
+    """Yield an iterator of ``func(shared, rows)`` over the row ``ranges``
+    (contiguous and increasing), in order.
 
     When ``pooled``, ``func`` runs in a pool of one worker process per
     usable CPU, at most one per range, if that makes two or more and a
     ``fork`` is safe. The workers inherit ``func`` and ``shared`` through
     ``fork``; only ranges and ``func``'s results are pickled, so a ``func``
-    that writes its own output (:func:`_place_chunk`) sends back nothing.
-    Otherwise ``func`` runs lazily in this process, on the same ranges. A
-    worker's exception is raised from the iterator. When the ``with`` block
-    ends the workers skip the ranges not yet started and exit, unkilled: a
-    worker killed while it sends a result would leave the result queue
-    locked.
+    that appends its own output with :func:`append_in_turn` sends back
+    nothing. Otherwise ``func`` runs lazily in this process, on the same
+    ranges. A worker's exception is raised from the iterator.
+
+    A pool's ranges take turns: one shared int64, the first row of the next
+    range to append, under one ``fork`` Condition. When the ``with`` block
+    ends, however it ends (done, an error, Ctrl-C), one release sets the
+    turn to ``_FAILED`` before the pool joins: ranges waiting for their turn
+    return, and the workers skip the ranges not yet started and exit,
+    unkilled (a worker killed while it sends a result would leave the result
+    queue locked).
     """
     workers = min(_usable_cpus(), len(ranges)) if pooled else 1
     context = _fork_context() if workers > 1 else None
     if context is None:
         yield (func(shared, rows) for rows in ranges)
         return
-    stop = context.Event()
-    pool = context.Pool(workers, _adopt_task, (func, shared, stop))
+    import mmap
+
+    turn = np.frombuffer(mmap.mmap(-1, 8), np.int64)
+    turn[0] = ranges[0].start
+    ready = context.Condition()
+    pool = context.Pool(workers, _adopt_task, (func, shared, turn, ready))
     try:
         yield pool.imap(_run_adopted, ranges)
     finally:
-        stop.set()
+        with ready:
+            turn[0] = _FAILED
+            ready.notify_all()
         pool.close()
         pool.join()
 
 
-# The turn of a table's chunks once its writer has stopped: a chunk still
-# waiting for its turn returns without writing.
-_FAILED = -1
+def append_in_turn(fd: int, rows: slice, text: bytes) -> None:
+    """Append ``text``, the output of the range ``rows`` of a
+    :func:`_map_rows` call, to the open file ``fd`` after the output of
+    every range before it.
+
+    In a pool worker the range waits for its turn, appends with
+    ``os.write`` (a process forked while the file is open shares its
+    offset) and hands the turn on as ``rows.stop``; it writes nothing once
+    the turn is ``_FAILED``. Ranges run in this process are in turn already.
+    """
+    if _worker_task is not None:
+        _, _, turn, ready = _worker_task
+        with ready:
+            ready.wait_for(lambda: turn[0] in (rows.start, _FAILED))
+            if turn[0] != _FAILED:
+                _write_all(fd, text)
+                turn[0] = rows.stop
+                ready.notify_all()
+    else:
+        _write_all(fd, text)
+
+
+def _write_all(fd: int, text: bytes) -> None:
+    view = memoryview(text)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _place_chunk(shared, rows: slice) -> None:
     """Format the chunk ``rows`` of the table ``columns`` and append it to
-    the open file ``fd`` in row order.
-
-    ``shared`` is ``(columns, fd, turn, ready)``: ``turn[0]`` is the row at
-    which the next chunk to append starts. Chunks format in parallel, then
-    wait under ``ready`` for their turn, append their text with ``os.write``
-    (a process forked while the file is open shares its offset) and hand the
-    turn on as ``rows.stop``. A chunk that finds the turn set to
-    ``_FAILED`` writes nothing."""
-    columns, fd, turn, ready = shared
-    text = table_text(columns, rows)
-    with ready:
-        ready.wait_for(lambda: turn[0] in (rows.start, _FAILED))
-        if turn[0] == _FAILED:
-            return
-        view = memoryview(text)
-        while view:
-            view = view[os.write(fd, view):]
-        turn[0] = rows.stop
-        ready.notify_all()
+    the open file ``fd`` in row order; ``shared`` is ``(columns, fd)``."""
+    columns, fd = shared
+    append_in_turn(fd, rows, table_text(columns, rows))
 
 
 @cache
@@ -647,11 +680,11 @@ def write_table(path, header: str, *columns) -> None:
     two, inf) and strings call ``repr`` or ``str`` one at a time.
 
     Chunks are formatted and written on every usable core: a table of two
-    or more chunks and at least 2^18 cells is handled by a ``fork`` pool,
+    or more chunks and at least 2^16 cells is handled by a ``fork`` pool,
     one task per chunk, of one worker process per usable CPU and at most
     one per chunk. The header is flushed before the pool forks; each worker
     formats its chunk and appends it, in row order, to the file it
-    inherited (:func:`_place_chunk`), and no chunk text comes back. Smaller
+    inherited (:func:`append_in_turn`), and no chunk text comes back. Smaller
     tables, single-CPU hosts, platforms without ``fork`` and processes
     running other threads run the same chunks here in row order; the bytes
     are the same either way. An error in a worker is raised here and
@@ -666,29 +699,15 @@ def write_table(path, header: str, *columns) -> None:
             f"{len(names)} column names for blocks of shapes {[b.shape for b in blocks]}"
         )
     ranges = _split_rows(n, max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // width)))
-    import mmap
-    import multiprocessing
-
-    # the fork context's Condition needs no helper process where fork exists
-    methods = multiprocessing.get_all_start_methods()
-    ready = multiprocessing.get_context("fork" if "fork" in methods else None).Condition()
-    turn = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # zero-filled: row 0 first
     with atomic_open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         fh.flush()
-        shared = (blocks, fh.fileno(), turn, ready)
         pooled = n * width >= _PARALLEL_MIN_CELLS
         if pooled:
             _lift_mmap_threshold()
-        with _map_rows(_place_chunk, shared, ranges, pooled) as chunks:
-            try:
-                for _ in chunks:
-                    pass
-            finally:
-                # however the loop ends (done, an error, Ctrl-C): release every waiting chunk
-                with ready:
-                    turn[0] = _FAILED
-                    ready.notify_all()
+        with _map_rows(_place_chunk, (blocks, fh.fileno()), ranges, pooled) as chunks:
+            for _ in chunks:
+                pass
 
 
 def write_decays(decays: DecaySet, path) -> None:

@@ -44,6 +44,22 @@ class Mlp:
             x = _dense(x, w, b, tanh)
         return x
 
+    def forward_into(self, x: np.ndarray, outputs: list[np.ndarray],
+                     biases: list[np.ndarray]) -> np.ndarray:
+        """:meth:`forward` of an (n, in) batch, bit for bit, with no
+        allocation: layer i writes its output into the first n rows of
+        ``outputs[i]`` and adds its bias from the first n rows of
+        ``biases[i]``, the bias repeated down its rows, so each add is one
+        contiguous add. Returns the last layer's rows."""
+        for (w, _), bias, out, tanh in zip(self.layers, biases, outputs, self._tanh):
+            out = out[:len(x)]
+            np.matmul(x, w.T, out=out)
+            np.add(out, bias[:len(x)], out=out)
+            if tanh:
+                np.tanh(out, out=out)
+            x = out
+        return x
+
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass that also returns the activations backward needs:
         the input followed by each layer's output."""

@@ -458,7 +458,7 @@ def train(
         mean = values.mean()
         model.input_offset = float(mean)
         scale = _std(values, mean)
-        model.input_scale = scale if scale > 0 else 1.0
+        model.input_scale = scale if 0.0 < scale < math.inf else 1.0
     else:
         model.input_offset = 0.0
         model.input_scale = 1.0
@@ -578,6 +578,13 @@ def load(
         )
     if len(body) > size:
         raise ModelFileError(f"{path}: {len(body) - size} trailing bytes")
+    # an infinite or NaN offset makes every reconstruction inf or NaN, and
+    # denoising sorts standardized reconstructions before it unstandardizes
+    # them, which keeps their order only for a finite scale > 0
+    if not math.isfinite(offset):
+        raise ModelFileError(f"{path}: input_offset must be finite, got {offset}")
+    if not 0.0 < scale < math.inf:
+        raise ModelFileError(f"{path}: input_scale must be finite and > 0, got {scale}")
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(params))
     if bad.size:

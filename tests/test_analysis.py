@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from ipvae.analysis import (
     loss_at_convergence,
     peak_snr,
     rmse,
-    sorted_quantiles,
     survey_snr_histogram,
 )
 from ipvae.vae import TrainConfig, TrainingDivergedError, sample_matrix
@@ -178,6 +178,18 @@ class TestDenoise:
             quantiles(model, small_corpus[1][:10], 1, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_unusable_scale_rejected_before_the_root_draw(self, small_model, small_corpus,
+                                                          scale):
+        """The groups sort standardized reconstructions, which keeps the
+        order of the unstandardized ones only for a finite scale > 0."""
+        model = replace(small_model[0], input_scale=scale)
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="input_scale must be finite and > 0"):
+            quantiles(model, small_corpus[1][:10], 10, rng)
+        assert rng.bit_generator.state == before
+
 
 def unblocked_denoise_matrix(model, values, n_realizations, rng):
     """The pre-blocking denoise_matrix: one root draw from ``rng``, each
@@ -213,7 +225,8 @@ def same_state(a, b):
 
 
 class TestBlockedDenoise:
-    @pytest.mark.parametrize("realizations", [2, 3, 37, 100])
+    # at R=820 a block is one row
+    @pytest.mark.parametrize("realizations", [2, 3, 37, 100, 820])
     @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "g+1", "1000"])
     def test_matches_unblocked_quantiles(self, small_model, small_corpus,
                                          realizations, rows):
@@ -236,6 +249,48 @@ class TestBlockedDenoise:
             else:
                 assert g.tobytes() == e.tobytes()
 
+
+    @pytest.mark.parametrize("force", ["serial", "pool"])
+    def test_nan_row_gives_nan_quantiles_in_that_row_only(self, monkeypatch, small_model,
+                                                          small_corpus, force):
+        """A decay with a NaN window has a NaN latent mean; its quantiles are
+        NaN, as np.quantile gives them, and every other row keeps its bits."""
+        model, _ = small_model
+        values = small_corpus[1][:600].copy()
+        values[300, 4] = np.nan
+        expected = unblocked_denoise_matrix(model, values, 37, 5)
+        with monkeypatch.context() as m:
+            force_serial(m) if force == "serial" else force_pool(m, any_size=True)
+            got = quantiles(model, values, 37, 5)
+        for e, g in zip(expected, got):
+            assert np.isnan(e[300]).all() and np.isnan(g[300]).all()
+            others = np.delete(g, 300, axis=0)
+            assert not np.isnan(others).any()
+            assert others.tobytes() == np.delete(e, 300, axis=0).tobytes()
+
+    def test_one_workspace_per_process_and_call(self, monkeypatch, small_model,
+                                                small_corpus):
+        """A serial call builds one workspace for all its groups, and each
+        call its own; the parent of a pooled call builds none."""
+        model, _ = small_model
+        values = small_corpus[1][:1000]  # four noise groups
+        built, workspace = [], analysis._Workspace
+
+        class Counted(workspace):
+            def __init__(self, *args):
+                built.append(os.getpid())
+                super().__init__(*args)
+
+        monkeypatch.setattr(analysis, "_Workspace", Counted)
+        with monkeypatch.context() as m:
+            force_serial(m)
+            quantiles(model, values, 100, rng=3)
+            quantiles(model, values, 37, rng=3)
+        assert built == [os.getpid()] * 2
+        with monkeypatch.context() as m:
+            force_pool(m, any_size=True)
+            quantiles(model, values, 100, rng=3)
+        assert built == [os.getpid()] * 2
 
     def test_zero_rows(self, small_model):
         model, _ = small_model
@@ -296,13 +351,18 @@ class TestBlockedDenoise:
         counted here."""
         model, _ = small_model
         values = small_corpus[1]
-        products, dense = [], nn._dense
+        products, dense, matmul = [], nn._dense, np.matmul
 
         def counted(x, w, b, tanh):
             products.append(len(x) * w.size)
             return dense(x, w, b, tanh)
 
+        def counted_into(x, w, out):  # the denoising decode, nn.Mlp.forward_into
+            products.append(len(x) * w.size)
+            return matmul(x, w, out=out)
+
         monkeypatch.setattr(nn, "_dense", counted)
+        monkeypatch.setattr(np, "matmul", counted_into)
         force_serial(monkeypatch)  # every product is counted in this process
         for call in (lambda: vae_mod.encode(model, values),
                      lambda: sample_matrix(model, 20_000, 1.0, rng=1),
@@ -577,10 +637,26 @@ class TestSortedQuantiles:
         x[0] = rng.standard_normal(realizations)
         x[1, realizations // 2] = np.nan
         qs = (0.0, 0.025, 0.25, 0.5, 0.975, 0.999, 1.0)
-        got = sorted_quantiles(np.sort(x, axis=-1), qs)
+        # the denoising groups keep only the sorted values at these ranks
+        ranks = analysis._quantile_ranks(realizations, qs)
+        got = analysis._ranked_quantiles(np.sort(x, axis=-1)[:, ranks], realizations, qs, ranks)
         for q, g in zip(qs, got):
             assert g.tobytes() == np.quantile(x, q, axis=-1).tobytes(), q
         assert np.isnan(got[3][1])
+
+    @pytest.mark.parametrize("realizations", [2, 3, 100])
+    def test_band_of_a_slice_holding_one_nan_is_nan(self, realizations):
+        """The band's ranks include the last, where a NaN sorts, though no
+        quantile of the band reads it."""
+        x = np.random.default_rng(realizations).standard_normal((4, realizations))
+        x[1, 0] = np.nan
+        band = analysis._BAND
+        ranks = analysis._quantile_ranks(realizations, band)
+        got = analysis._ranked_quantiles(np.sort(x, axis=-1)[:, ranks], realizations, band,
+                                         ranks)
+        for q, g in zip(band, got):
+            assert g.tobytes() == np.quantile(x, q, axis=-1).tobytes(), q
+            assert np.isnan(g[1]) and not np.isnan(np.delete(g, 1)).any()
 
 
 class TestSurveyHistogram:

@@ -228,6 +228,56 @@ class TestDenoise:
         assert_rejected_early(capsys, tmp_path / "out",
                               f"{path}: parameter 3 (encoder layer 1 weights) is not finite")
 
+    @pytest.mark.parametrize("command", ["denoise", "report", "bench"])
+    def test_unusable_scale_rejected_before_output(self, pipeline, tmp_path, capsys,
+                                                   command):
+        model = vae.VaeModel.initialize(rng=5)
+        model.input_scale = 0.0
+        path = tmp_path / "flat.ipvae"
+        vae.save(model, path)
+        corpus = pipeline / "synth" / "contaminated.csv"
+        inputs = {"denoise": ("--input", corpus), "report": ("--corpus", corpus),
+                  "bench": ()}[command]
+        assert run(command, "--model", path, *inputs, "--realizations", 10,
+                   "--seed", 3, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              f"{path}: input_scale must be finite and > 0, got 0.0")
+
+    def test_group_results_hold_no_text(self, pipeline, tmp_path, monkeypatch):
+        """Each group appends its own results.csv rows where it is decoded,
+        serial or pooled (12 groups on 3 workers, taking turns): what
+        reaches the parent is the group's RMSE and peak S/N, never text,
+        and both runs write the same bytes."""
+        corpus = tmp_path / "survey.csv"
+        data.write_decays(data.DecaySet(data.synthesize_corpus(
+            data.SyntheticSpec(n=3000, seed=6))[1]), corpus)
+        denoise_matrix, taken = analysis.denoise_matrix, []
+
+        def recording(model, levels, n_realizations, rng, finish, take):
+            def recorded(rows, result):
+                taken.append((rows, result))
+                take(rows, result)
+            denoise_matrix(model, levels, n_realizations, rng, finish, recorded)
+
+        monkeypatch.setattr(analysis, "denoise_matrix", recording)
+        monkeypatch.setattr(analysis, "_POOL_MIN_SAMPLES", 0)
+        for cpus in (1, 3):
+            monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+            taken.clear()
+            assert run("denoise", "--model", pipeline / "train" / "model.ipvae",
+                       "--input", corpus, "--realizations", 10, "--seed", 3,
+                       "--out", tmp_path / str(cpus)) == 0
+            assert [rows for rows, _ in taken] == [
+                slice(start, min(start + 256, 3000)) for start in range(0, 3000, 256)]
+            for rows, result in taken:
+                assert len(result) == 2
+                for part in result:
+                    assert isinstance(part, np.ndarray) and part.dtype == np.float64
+                    assert part.shape == (rows.stop - rows.start,)
+        assert filecmp.cmp(tmp_path / "1" / "results.csv", tmp_path / "3" / "results.csv",
+                           shallow=False)
+        assert multiprocessing.active_children() == []
+
     def test_threshold_changes_only_outlier_column(self, pipeline, tmp_path):
         model = pipeline / "train" / "model.ipvae"
         inp = pipeline / "synth" / "contaminated.csv"

@@ -68,6 +68,19 @@ class TestIpDecay:
         with pytest.raises(ValueError, match="'m4': non-finite"):
             make_decay(values)
 
+    @pytest.mark.parametrize("n", [1, 3276, 3277, 10_000])
+    def test_first_non_finite_named_in_last_row(self, n):
+        """Finiteness is checked in row blocks of 2^16 values (3276 rows of
+        20); the message names the first bad column of the first bad row."""
+        values = np.ones((n, 20))
+        values[-1, [6, 2, 15]] = (np.nan, np.inf, -np.inf)
+        with pytest.raises(ValueError, match="^column 'm3': non-finite window value$"):
+            DecaySet(values)
+        if n > 1:
+            values[0, 11] = np.nan
+            with pytest.raises(ValueError, match="^column 'm12': non-finite window value$"):
+                DecaySet(values)
+
     def test_negative_windows_allowed(self):
         dec = make_decay(np.linspace(-2.0, 5.0, 20))
         assert dec.values[0, 0] == -2.0

@@ -525,6 +525,23 @@ class TestPersistence:
         with pytest.raises(ModelFileError, match=rf"parameter {index} \({name}\) is not finite"):
             load(tmp_path / "m.ipvae")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("input_scale", 0.0, "input_scale must be finite and > 0, got 0.0"),
+        ("input_scale", -1.0, "input_scale must be finite and > 0, got -1.0"),
+        ("input_scale", np.nan, "input_scale must be finite and > 0, got nan"),
+        ("input_offset", np.inf, "input_offset must be finite, got inf"),
+    ], ids=["zero-scale", "negative-scale", "nan-scale", "inf-offset"])
+    def test_unusable_standardization_rejected(self, tmp_path, field, value, message):
+        """Denoising sorts standardized reconstructions before it
+        unstandardizes them, which needs a finite scale > 0."""
+        model = VaeModel.initialize(rng=5)
+        setattr(model, field, value)
+        path = tmp_path / "m.ipvae"
+        save(model, path)
+        with pytest.raises(ModelFileError) as raised:
+            load(path)
+        assert str(raised.value) == f"{path}: {message}"
+
     def test_round_trip_bit_exact(self, small_model, tmp_path):
         model, _ = small_model
         path = tmp_path / "model.ipvae"
