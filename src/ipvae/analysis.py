@@ -58,6 +58,12 @@ class SweepRow:
     dlc_diff: float
 
 
+# The most bins an S/N histogram may span, checked before its edges are
+# made: its edges and counts take 0.8 MB each (8 bytes a bin), and
+# report's snr_histogram.csv one row a bin
+_MAX_SNR_BINS = 100_000
+
+
 @dataclass
 class SnrHistogram:
     bin_edges: np.ndarray
@@ -241,7 +247,7 @@ def _denoise_rows(shared, rows: slice):
 
 
 def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
-                   rng: np.random.Generator | int, finish, take) -> None:
+                   rng: np.random.Generator | int, finish) -> tuple[np.ndarray, ...]:
     """Posterior-sampled reconstructions of every decay of the (L, n, d)
     stack ``levels``: L surveys of n decays each, one level for a single
     survey (``values[None]``).
@@ -249,9 +255,12 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
     Each decay's per-window empirical 0.5/0.025/0.975 quantiles over
     ``n_realizations`` encode-sample-decode passes go to ``finish(rows,
     median, ci_low, ci_high)``, (c, d) each, run where the noise group
-    ``rows`` is decoded; ``take(rows, result)`` then runs here on each
-    group's result, in row order. ``rows`` counts level l's decay i as
-    l·n + i.
+    ``rows`` is decoded. ``rows`` counts level l's decay i as l·n + i.
+    ``finish`` returns a tuple of arrays whose first axis is the group's c
+    rows; the call returns one (L·n, ...) array per part, each group's
+    part at its ``rows``, allocated when the first group's result arrives.
+    For n = 0, ``finish`` runs once here, on ``slice(0, 0)`` and three
+    (0, d) quantiles, and its result is returned.
 
     ``rng`` gives one root entropy per level, ``rng.integers(2**63,
     size=(L, 2))``, for any n and R; for one level this is the draw of
@@ -277,20 +286,28 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
         raise ValueError(f"levels must be an (L, n, d) stack, got shape {levels.shape}")
     if not 0.0 < model.input_scale < math.inf:  # see _denoise_rows
         raise ValueError(f"model input_scale must be finite and > 0, got {model.input_scale}")
-    n_levels, n, _ = levels.shape
+    n_levels, n, d = levels.shape
     roots = np.random.default_rng(rng).integers(2**63, size=(n_levels, 2))
     mu, sigma = (np.empty((n_levels, n, model.latent_dim)) for _ in range(2))
     for level, values in enumerate(levels):
         vae_mod._encode_into(model, values, mu[level], sigma[level])
+    if n == 0:  # no group gives the results' shapes
+        return finish(slice(0, 0), *(np.empty((0, d)) for _ in range(3)))
     ranges = [slice(level * n + start, level * n + min(start + _NOISE_ROWS, n))
               for level in range(n_levels) for start in range(0, n, _NOISE_ROWS)]
     block = vae_mod._block_rows(model.decoder.layers, n_realizations)
     shared = (model, mu.reshape(-1, model.latent_dim), sigma.reshape(-1, model.latent_dim),
               n, n_realizations, roots, block, finish, [])  # [] holds the _Workspace
     pooled = n_levels * n * n_realizations >= _POOL_MIN_SAMPLES
+    out = None
     with data._map_rows(_denoise_rows, shared, ranges, pooled) as done:
         for rows, result in zip(ranges, done):
-            take(rows, result)
+            if out is None:
+                out = tuple(np.empty((n_levels * n, *part.shape[1:]), part.dtype)
+                            for part in result)
+            for whole, part in zip(out, result):
+                whole[rows] = part
+    return out
 
 
 def denoise_all(
@@ -308,15 +325,10 @@ def denoise_all(
     """
     check_threshold(threshold)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    med, lo, hi = (np.empty(values.shape) for _ in range(3))
-    errs, snrs = np.empty(len(values)), np.empty(len(values))
 
     def finish(rows, *quantiles):  # each group's metrics, computed in the pool
         return *quantiles, rmse(values[rows], quantiles[0]), peak_snr(values[rows], quantiles[0])
-
-    def take(rows, result):
-        med[rows], lo[rows], hi[rows], errs[rows], snrs[rows] = result
-    denoise_matrix(model, values[None], n_realizations, rng, finish, take)
+    med, lo, hi, errs, snrs = denoise_matrix(model, values[None], n_realizations, rng, finish)
     return DenoiseResult(med, lo, hi, errs, snrs, errs > threshold)
 
 
@@ -331,7 +343,9 @@ def survey_snr_histogram(
 
     Finite values are binned on a grid aligned to multiples of the bin
     width; perfect reconstructions (infinite S/N) are counted separately so
-    the histogram total still equals the survey size.
+    the histogram total still equals the survey size. A bin width at which
+    the S/N values span ``_MAX_SNR_BINS`` bins or more is a ``ValueError``,
+    raised once they are known and before any bin is made.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
@@ -339,20 +353,20 @@ def survey_snr_histogram(
     if not 0 < bin_width_db < math.inf:
         raise ValueError(f"bin_width_db must be finite and > 0, got {bin_width_db}")
     data_range(values)  # a constant decay is rejected before any denoising
-    snrs = np.empty(len(values))
-
-    def take(rows, result):
-        snrs[rows] = result
-    denoise_matrix(model, values[None], n_realizations, rng,
-                   lambda rows, med, lo, hi: peak_snr(values[rows], med), take)
+    snrs, = denoise_matrix(model, values[None], n_realizations, rng,
+                           lambda rows, med, lo, hi: (peak_snr(values[rows], med),))
     finite = snrs[np.isfinite(snrs)]
     inf_count = int(np.sum(~np.isfinite(snrs)))
     if finite.size == 0:
         edges = np.array([0.0, bin_width_db])
         counts = np.zeros(1, dtype=int)
     else:
-        lo = math.floor(finite.min() / bin_width_db) * bin_width_db
-        hi = math.ceil(finite.max() / bin_width_db) * bin_width_db
+        first, last = float(finite.min()) / bin_width_db, float(finite.max()) / bin_width_db
+        if not last - first < _MAX_SNR_BINS:  # also when a width too small gives inf
+            raise ValueError(f"bin_width_db {bin_width_db} spans the S/N values with"
+                             f" {last - first:.4g} bins, at most {_MAX_SNR_BINS}")
+        lo = math.floor(first) * bin_width_db
+        hi = math.ceil(last) * bin_width_db
         if hi <= lo:
             hi = lo + bin_width_db
         nbins = int(round((hi - lo) / bin_width_db))
@@ -361,56 +375,50 @@ def survey_snr_histogram(
     return SnrHistogram(bin_edges=edges, counts=counts, inf_count=inf_count)
 
 
-# Values per block of density_range's counting pass, and about how many
-# values the sample its brackets come from holds
+# Values per row block of density_range's selection pass
 _RANGE_BLOCK = 2**15
-_RANGE_SAMPLE = 4096
 
 
-def _order_statistics(table: np.ndarray, spans: list[tuple[int, int]]) -> list[np.ndarray] | None:
-    """The values of ranks i to j, for each (i, j) in ``spans``, of the
-    sorted values of the (n, d) ``table``, or None if it holds a NaN, with
-    no copy of the table.
+def _order_statistics(table: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """The values at the ascending ``ranks`` of the sorted values of the
+    (n, d) ``table``, where a NaN sorts last, with no copy of the table;
+    ``ranks`` holds the last rank, as :func:`_quantile_ranks` gives them.
 
-    Each span is bracketed by two values of a sorted sample of every
-    ``n // (_RANGE_SAMPLE // d)``-th row, 16 sample places beyond where its
-    ranks fall. One pass in blocks of ``_RANGE_BLOCK`` values counts the
-    values below each bracket and keeps those inside it, which one
-    ``np.partition`` orders at the span's ranks. A bracket that misses its
-    ranks is widened fourfold and the pass repeated; at full width it holds
-    every value. Zeros of both signs compare equal, so where both
-    meet at a rank the sign found may differ from ``np.percentile``'s.
+    One pass in row blocks of ``_RANGE_BLOCK`` values keeps the smallest
+    values up to the highest rank in the lower half, and the largest down
+    to the lowest rank in the upper half. Each kept set is cut back to what
+    it needs by an in-place ``ndarray.partition`` once the next block would
+    take it past twice that plus a block, so the pass does O(n·d) work; one
+    last partition orders each set at its ranks. The kept sets grow toward
+    n·d values as the ranks near the middle (in :func:`density_range`, as
+    the coverage falls toward 0, which no CLI caller asks for). Zeros of
+    both signs compare equal, so where both meet at a rank the sign found
+    may differ from ``np.percentile``'s.
     """
     n, d = table.shape
-    total, block_rows = n * d, max(1, _RANGE_BLOCK // d)
-    sample = np.sort(table[::max(1, n // max(1, _RANGE_SAMPLE // d))], axis=None)
-    places = len(sample)
-    margin = 16
-    while True:
-        brackets = []
-        for i, j in spans:
-            first, last = i * places // total - margin, j * places // total + margin
-            brackets.append((sample[first] if first >= 0 else -np.inf,
-                             sample[last] if last < places else np.inf))
-        below = [0] * len(spans)
-        inside: list[list[np.ndarray]] = [[] for _ in spans]
-        for start in range(0, n, block_rows):
-            block = table[start:start + block_rows]
-            if np.isnan(block).any():
-                return None
-            for k, (lo, hi) in enumerate(brackets):
-                below[k] += np.count_nonzero(block < lo)
-                inside[k].append(block[(block >= lo) & (block <= hi)])
-        found = []
-        for (i, j), count, kept in zip(spans, below, inside):
-            kept = np.concatenate(kept)
-            if not count <= i <= j < count + len(kept):
-                break
-            kept.partition((i - count, j - count))
-            found.append(kept[i - count:j - count + 1])
-        else:
-            return found
-        margin *= 4
+    total, rows = n * d, max(1, _RANGE_BLOCK // d)
+    lower = [r for r in ranks if 2 * r < total]
+    upper = [r - total for r in ranks if 2 * r >= total]  # counted from the end
+    needs = [lower[-1] + 1 if lower else 0, -upper[0] if upper else 0]
+    kept = [np.empty(min(total, 2 * k + rows * d)) for k in needs]
+    fill = [0, 0]
+    for start in range(0, n, rows):
+        block = table[start:start + rows].ravel()
+        for side, k in enumerate(needs):
+            if fill[side] + len(block) > len(kept[side]):  # then fill > 2k
+                cut = kept[side][:fill[side]]
+                cut.partition(-k if side else k - 1)
+                if side:
+                    cut[:k] = cut[-k:]  # no overlap, as fill > 2k
+                fill[side] = k
+            kept[side][fill[side]:fill[side] + len(block)] = block
+            fill[side] += len(block)
+    picked = []
+    for places, part in zip((lower, upper), (values[:m] for values, m in zip(kept, fill))):
+        if places:
+            part.partition(places)
+            picked.append(part[places])
+    return np.concatenate(picked)
 
 
 def density_range(values: np.ndarray, coverage: float = DENSITY_COVERAGE) -> tuple[float, float]:
@@ -420,10 +428,11 @@ def density_range(values: np.ndarray, coverage: float = DENSITY_COVERAGE) -> tup
     ``hi <= lo``.
 
     These are the exact ``linear``-rule percentiles, bit for bit, and NaN
-    bounds for a population holding a NaN, found without copying the
-    corpus: only the values near each percentile's two order statistics are
-    selected (see :func:`_order_statistics`). A coverage outside [0, 1] is
-    a ``ValueError``.
+    bounds for a population holding a NaN, by the denoising band's rule
+    (:func:`_quantile_ranks`, :func:`_ranked_quantiles`), found without
+    copying the corpus: only the values at the ranks it reads are selected
+    (see :func:`_order_statistics`). A coverage outside [0, 1] is a
+    ``ValueError``.
     """
     if not 0.0 <= coverage <= 1.0:
         raise ValueError(f"coverage must be in [0, 1], got {coverage}")
@@ -433,12 +442,10 @@ def density_range(values: np.ndarray, coverage: float = DENSITY_COVERAGE) -> tup
     if values.size == 0:
         raise ValueError("an empty population has no density range")
     table = values.reshape(len(values), -1)
-    rules = [_linear_rule(table.size, q) for q in qs]
-    found = _order_statistics(table, [(i, j) for i, j, _ in rules])
-    if found is None:
-        return math.nan, math.nan
-    lo, hi = (_lerp(float(pair[0]), float(pair[-1]), gamma)
-              for pair, (_, _, gamma) in zip(found, rules))
+    ranks = _quantile_ranks(table.size, qs)
+    picked = _order_statistics(table, ranks)
+    with np.errstate(invalid="ignore"):  # inf - inf, as np.percentile allows
+        lo, hi = (float(q[0]) for q in _ranked_quantiles(picked[None], table.size, qs, ranks))
     if hi <= lo:
         hi = lo + 1.0
     return lo, hi
@@ -576,13 +583,9 @@ def latent_sweep(
     corpus_chart = density_chart(values)
     rows: list[SweepRow] = []
     models: list[VaeModel] = []
-    errs, snrs = np.empty(len(values)), np.empty(len(values))
 
     def finish(group, med, lo, hi):
         return rmse(values[group], med), peak_snr(values[group], med)
-
-    def take(group, result):
-        errs[group], snrs[group] = result
     for k in ks:
         try:
             model, curve = vae_mod.train_new(values, replace(config, latent_dim=k))
@@ -590,7 +593,7 @@ def latent_sweep(
             exc.args = (f"K={k}: {exc}",)
             raise
         _, nll, kl = loss_at_convergence(curve)
-        denoise_matrix(model, values[None], n_realizations, config.seed, finish, take)
+        errs, snrs = denoise_matrix(model, values[None], n_realizations, config.seed, finish)
         dlc = dlc_difference(model_chart(model, len(values), corpus_chart, config.seed + 1),
                              corpus_chart)
         rows.append(SweepRow(latent_dim=k, nll=nll, kl=kl,
@@ -642,14 +645,10 @@ def denoising_benchmark(
                 *(flt.tune_batch(kind, noisy, truth[own])[2]
                   for kind in ("MA", "EMA", "Butterworth")))
 
-    errs = np.empty((len(BENCH_METHODS), len(sigmas) * n))
-
-    def take(rows, result):
-        errs[:, rows] = result
-    denoise_matrix(model, levels, n_realizations, rng, finish, take)
+    errs = denoise_matrix(model, levels, n_realizations, rng, finish)
     return {
         float(s): {name: (float(np.mean(e)), float(np.std(e)))
-                   for name, e in zip(BENCH_METHODS, errs[:, level * n:(level + 1) * n])}
+                   for name, e in zip(BENCH_METHODS, (e[level * n:(level + 1) * n] for e in errs))}
         for level, s in enumerate(sigmas)
     }
 

@@ -65,6 +65,10 @@ def _parse_range(text: str) -> tuple[float, float]:
 # built: bench holds --sweep-n decays per level, 320 KB at the default 2000
 # decays of 20 windows (320 MB for 1000 levels).
 _MAX_SIGMAS = 1000
+# The most amplitude bins a density chart may have, checked before the
+# corpus is read: each chart's (bins, d) counts and grid take 1.6 MB apiece
+# at 20 windows for 10 000 bins
+_MAX_BINS = 10_000
 
 
 def _parse_sigmas(text: str) -> tuple[float, ...]:
@@ -179,18 +183,15 @@ def cmd_denoise(args) -> int:
             [ids, errs, snrs, errs > args.threshold, med, lo, hi]))
         return errs, snrs
 
-    def take(rows, result):
-        rmse[rows], snr[rows] = result
-
     header = ",".join(["id", "rmse_mv_per_v", "peak_snr_db", "outlier"] + [
         f"{band}_m{j + 1}" for band in ("med", "lo", "hi") for j in range(model.input_dim)])
-    rmse, snr = np.empty(len(values)), np.empty(len(values))
     out = _out_dir(args)
     with atomic_open(os.path.join(out, "results.csv"), "wb") as fh:
         fh.write(f"{header}\n".encode())
         fh.flush()  # before the pool forks
         fd = fh.fileno()
-        analysis.denoise_matrix(model, values[None], args.realizations, args.seed, finish, take)
+        rmse, snr = analysis.denoise_matrix(model, values[None], args.realizations, args.seed,
+                                            finish)
     finite = snr[np.isfinite(snr)]
     n_outliers = int(np.sum(rmse > args.threshold))
     if n_outliers > len(values) / 2:
@@ -315,6 +316,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     _require(args.bins >= 1, "--bins", ">= 1", args.bins)
+    _require(args.bins <= _MAX_BINS, "--bins", f"at most {_MAX_BINS}", args.bins)
     _require(0.0 < args.bin_width < np.inf, "--bin-width", "finite and > 0", args.bin_width)
     _require(args.realizations >= 2, "--realizations", ">= 2", args.realizations)
     model = vae_mod.load(args.model)

@@ -653,10 +653,10 @@ def _lift_mmap_threshold() -> None:
     4 MB in this process and the workers it forks come from the heap.
 
     glibc's malloc maps each block above its mmap threshold (128 KB at
-    start) on its own and unmaps it when freed, so a chunk's formatter
-    temporaries (up to 1.3 MB of text slots) would fault in fresh pages every
-    time: a 70k-decay ``synth`` made 123k minor faults instead of 25k.
-    Freeing a mapped block raises the threshold to its size. The block is
+    start) on its own and unmaps it when freed, so the formatter temporaries
+    of a table chunk (up to 1.3 MB of text slots) or a denoise group would
+    fault in fresh pages every time: a 70k-decay ``synth`` made 123k minor
+    faults instead of 25k. Freeing a mapped block raises the threshold to its size. The block is
     never written, so it costs no resident memory, and it is just under
     4 MB: numpy advises huge pages for a block of 4 MB or more, and on the
     heap that advice would outlive the block.
@@ -780,12 +780,8 @@ def _decay_set(table: np.ndarray, columns: list[str], scheme: WindowScheme) -> D
     windows = [index[f"m{j + 1}"] for j in range(scheme.count)]
     n, d = len(table), scheme.count
     front = table.reshape(-1)[:n * d].reshape(n, d)
-    # Blocks of 2^19 values (4 MB). Freeing a block's copy lifts glibc's
-    # mmap threshold, as freeing the parsed table did when the windows were
-    # copied out whole; then a denoise group's few MB of text temporaries
-    # stay on the heap. With 4096-row blocks a 20k denoise made 99k page
-    # faults instead of 18k, for 0.2 s more system time.
-    block = max(1, 2**19 // d)
+    _lift_mmap_threshold()  # then a denoise group's text temporaries stay on the heap
+    block = max(1, 2**15 // d)
     for start in range(0, n, block):
         front[start:start + block] = table[start:start + block, windows]
     del front

@@ -42,10 +42,5 @@ def canonical_model(canonical_corpus):
 def quantiles(model, values, n_realizations, rng):
     """(median, ci_low, ci_high), (n, d) each, of the (n, d) ``values``
     denoised as one level of :func:`denoise_matrix`."""
-    out = np.empty((3, *np.shape(values)))
-
-    def take(rows, result):
-        out[:, rows] = result
-    denoise_matrix(model, np.asarray(values)[None], n_realizations, rng,
-                   lambda rows, *bands: bands, take)
-    return tuple(out)
+    return denoise_matrix(model, np.asarray(values)[None], n_realizations, rng,
+                          lambda rows, *bands: bands)

@@ -146,6 +146,14 @@ class TestDenoise:
         res_noisy = denoise_all(model, noisy, 50, rng=8)
         assert np.mean(res_clean.rmse) <= np.mean(res_noisy.rmse)
 
+    def test_zero_rows_give_empty_results(self, small_model):
+        model, _ = small_model
+        res = denoise_all(model, np.empty((0, model.input_dim)), n_realizations=10, rng=4)
+        for band in (res.median, res.ci_low, res.ci_high):
+            assert band.shape == (0, model.input_dim)
+        for metric in (res.rmse, res.peak_snr, res.outlier):
+            assert metric.shape == (0,)
+
     def test_realization_floor(self, small_model, small_corpus):
         model, _ = small_model
         _, decays = small_corpus
@@ -166,8 +174,7 @@ class TestDenoise:
         rng = np.random.default_rng(9)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"\(L, n, d\) stack"):
-            denoise_matrix(model, small_corpus[1][:10], 10, rng,
-                           lambda rows, *bands: bands, lambda rows, result: None)
+            denoise_matrix(model, small_corpus[1][:10], 10, rng, lambda rows, *bands: bands)
         assert rng.bit_generator.state == before
 
     def test_realization_floor_checked_before_the_root_draw(self, small_model, small_corpus):
@@ -452,9 +459,9 @@ class TestPooledDenoise:
     @pytest.mark.parametrize("force", ["serial", "pool"])
     def test_outputs_filled_as_groups_arrive(self, monkeypatch, small_model, small_corpus,
                                              force):
-        """A call whose ``take`` fills three (n, d) outputs holds them and
-        little more: each group's quantiles are handed over as they arrive,
-        not kept to be joined at the end, which would hold them twice."""
+        """A call whose groups return three (n, d) outputs holds them and
+        little more: each group's quantiles are placed as they arrive, not
+        kept to be joined at the end, which would hold them twice."""
         model, _ = small_model
         values = small_corpus[1]  # 20k x 100 samples: a pooled size
         force_serial(monkeypatch) if force == "serial" else force_pool(monkeypatch, False)
@@ -471,22 +478,19 @@ class TestPooledDenoise:
     def test_levels_equal_one_call_each(self, monkeypatch, small_model, small_corpus,
                                         n, force):
         """A call on three stacked levels gives each level the bits of a call
-        on it alone, taken in row order with level l's decay i at row
-        l·n + i, and advances the generator by the same three roots. A
-        one-row level is encoded alone, through gemv, as in its own call."""
+        on it alone, placed with level l's decay i at row l·n + i, and
+        advances the generator by the same three roots. A one-row level is
+        encoded alone, through gemv, as in its own call."""
         model, _ = small_model
         levels = small_corpus[1][:3 * n].reshape(3, n, -1)
-        got, taken = np.empty((3, 3 * n, model.input_dim)), []
-
-        def take(rows, result):
-            taken.append(rows)
-            got[:, rows] = result
         rng = np.random.default_rng(31)
         with monkeypatch.context() as m:
             force_serial(m) if force == "serial" else force_pool(m, any_size=True)
-            denoise_matrix(model, levels, 37, rng, lambda rows, *bands: bands, take)
-        assert taken == [slice(level * n + start, level * n + min(start + 256, n))
-                         for level in range(3) for start in range(0, n, 256)]
+            *got, placed = denoise_matrix(
+                model, levels, 37, rng,
+                lambda rows, *bands: (*bands, np.arange(rows.start, rows.stop)))
+        assert placed.tobytes() == np.arange(3 * n).tobytes()
+        got = np.array(got)
         one_by_one = np.random.default_rng(31)
         with monkeypatch.context() as m:
             force_serial(m)
@@ -617,7 +621,7 @@ class TestDenoisingBenchmark:
         assert calls == []
         with pytest.raises(ValueError) as from_matrix:
             denoise_matrix(model, np.ones((1, 1, model.input_dim)), realizations, 1,
-                           lambda rows, *bands: bands, lambda rows, result: None)
+                           lambda rows, *bands: bands)
         assert str(from_benchmark.value) == str(from_matrix.value)
         assert str(from_matrix.value) == f"n_realizations must be >= 2, got {realizations}"
 
@@ -703,6 +707,29 @@ class TestSurveyHistogram:
         monkeypatch.setattr(analysis, "denoise_matrix", never)
         with pytest.raises(ValueError, match="bin_width_db must be finite and > 0"):
             survey_snr_histogram(small_corpus[1][:100], model, bin_width_db=width)
+
+    @pytest.mark.parametrize("width", [1e-12, 5e-324])
+    def test_too_fine_bin_width_rejected_before_any_bin(self, small_model, small_corpus,
+                                                        width):
+        """1e-12 dB spans a survey's S/N values with about 10^13 bins
+        (151 TiB of edges); 5e-324 divides them to inf."""
+        model, _ = small_model
+        with pytest.raises(ValueError, match=f"bins, at most {analysis._MAX_SNR_BINS}$"):
+            survey_snr_histogram(small_corpus[1][:300], model, bin_width_db=width,
+                                 n_realizations=10, rng=3)
+
+    def test_bin_cap_is_on_the_span_in_bin_widths(self, monkeypatch, small_model,
+                                                  small_corpus):
+        model, _ = small_model
+        values = small_corpus[1][:300]
+        snrs = denoise_all(model, values, n_realizations=10, rng=3).peak_snr
+        span = float(snrs.max() - snrs.min())  # in 1 dB bins
+        monkeypatch.setattr(analysis, "_MAX_SNR_BINS", math.ceil(span))
+        hist = survey_snr_histogram(values, model, n_realizations=10, rng=3)
+        assert hist.total == 300
+        monkeypatch.setattr(analysis, "_MAX_SNR_BINS", math.floor(span))
+        with pytest.raises(ValueError, match=f"with {span:.4g} bins, at most {math.floor(span)}"):
+            survey_snr_histogram(values, model, n_realizations=10, rng=3)
 
     def test_constant_decay_rejected_before_denoising(self, monkeypatch, small_model,
                                                       small_corpus):
@@ -810,21 +837,23 @@ class TestDensityRange:
                     expected = percentile_range(values, coverage)
                 got = density_range(values, coverage)
                 assert np.array(got).tobytes() == np.array(expected).tobytes(), (values, coverage)
-
-    def test_bracket_widened_when_the_sample_misses(self):
-        """Every row the bracketing sample reads holds one large value, so
-        each first bracket misses its ranks and has to widen."""
+        # 1e6 on every 14th row: 4287 values, spread over every block, more
+        # than the upper tail holds at the default coverage
         values = np.random.default_rng(5).standard_normal((20_000, 3))
-        values[::len(values) // (analysis._RANGE_SAMPLE // 3)] = 1e6
+        values[::14] = 1e6
         for coverage in (analysis.DENSITY_COVERAGE, 0.5):
+            got = density_range(values, coverage)
             expected = percentile_range(values, coverage)
-            assert density_range(values, coverage) == expected
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), coverage
 
     def test_nan_gives_nan_bounds(self):
-        values = np.random.default_rng(6).standard_normal((5000, 20))
-        values[4321, 7] = np.nan
-        assert np.isnan(percentile_range(values, analysis.DENSITY_COVERAGE)).all()
-        assert np.isnan(density_range(values)).all()
+        """A NaN between, in the first block or in the last row sorts last
+        and gives NaN bounds, as np.percentile does."""
+        for row, column in ((4321, 7), (0, 0), (4999, 19)):
+            values = np.random.default_rng(6).standard_normal((5000, 20))
+            values[row, column] = np.nan
+            assert np.isnan(percentile_range(values, analysis.DENSITY_COVERAGE)).all()
+            assert np.isnan(density_range(values)).all(), (row, column)
 
     @pytest.mark.parametrize("coverage", [-1.5, -0.1, 1.0 + 1e-9, 1.5, math.nan])
     def test_coverage_outside_unit_interval_raises(self, coverage):

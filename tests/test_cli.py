@@ -1,3 +1,4 @@
+import contextlib
 import filecmp
 import hashlib
 import json
@@ -246,20 +247,24 @@ class TestDenoise:
     def test_group_results_hold_no_text(self, pipeline, tmp_path, monkeypatch):
         """Each group appends its own results.csv rows where it is decoded,
         serial or pooled (12 groups on 3 workers, taking turns): what
-        reaches the parent is the group's RMSE and peak S/N, never text,
-        and both runs write the same bytes."""
+        reaches the parent from the pool entry point is the group's RMSE
+        and peak S/N, never text, and both runs write the same bytes."""
         corpus = tmp_path / "survey.csv"
         data.write_decays(data.DecaySet(data.synthesize_corpus(
             data.SyntheticSpec(n=3000, seed=6))[1]), corpus)
-        denoise_matrix, taken = analysis.denoise_matrix, []
+        map_rows, taken = data._map_rows, []
 
-        def recording(model, levels, n_realizations, rng, finish, take):
-            def recorded(rows, result):
+        def recorded(ranges, done):
+            for rows, result in zip(ranges, done):
                 taken.append((rows, result))
-                take(rows, result)
-            denoise_matrix(model, levels, n_realizations, rng, finish, recorded)
+                yield result
 
-        monkeypatch.setattr(analysis, "denoise_matrix", recording)
+        @contextlib.contextmanager
+        def recording(func, shared, ranges, pooled):
+            with map_rows(func, shared, ranges, pooled) as done:
+                yield recorded(ranges, done) if func is analysis._denoise_rows else done
+
+        monkeypatch.setattr(data, "_map_rows", recording)
         monkeypatch.setattr(analysis, "_POOL_MIN_SAMPLES", 0)
         for cpus in (1, 3):
             monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
@@ -583,6 +588,7 @@ class TestReport:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--bins", 0, "--bins must be >= 1, got 0"),
+        ("--bins", 10_001, "--bins must be at most 10000, got 10001"),
         ("--bin-width", 0, "--bin-width must be finite and > 0, got 0.0"),
         ("--bin-width", "nan", "--bin-width must be finite and > 0, got nan"),
         ("--bin-width", "inf", "--bin-width must be finite and > 0, got inf"),
@@ -594,6 +600,16 @@ class TestReport:
                    "--corpus", tmp_path / "missing.csv", flag, value,
                    "--seed", 8, "--out", tmp_path / "out") == 3
         assert_rejected_early(capsys, tmp_path / "out", message)
+
+    def test_too_fine_bin_width_rejected_before_output(self, pipeline, tmp_path, capsys):
+        """1e-12 dB bins would span the survey's S/N values with about 10^13
+        bins: the count is refused once the S/N values are known, before any
+        bin is made or file written."""
+        assert run("report", "--model", pipeline / "train" / "model.ipvae",
+                   "--corpus", pipeline / "synth" / "contaminated.csv", "--bin-width", 1e-12,
+                   "--realizations", 10, "--seed", 8, "--out", tmp_path / "out") == 3
+        assert_rejected_early(capsys, tmp_path / "out",
+                              "bin_width_db 1e-12 spans the S/N values with")
 
     def test_failed_result_writes_nothing(self, pipeline, tmp_path, capsys):
         two = tmp_path / "two.csv"
