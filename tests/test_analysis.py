@@ -837,8 +837,11 @@ class TestDensityRange:
                     expected = percentile_range(values, coverage)
                 got = density_range(values, coverage)
                 assert np.array(got).tobytes() == np.array(expected).tobytes(), (values, coverage)
-        # 1e6 on every 14th row: 4287 values, spread over every block, more
-        # than the upper tail holds at the default coverage
+
+    def test_bracket_widened_when_the_sample_misses(self):
+        """1e6 on every 14th row: 4287 values spread over every block, more
+        than the upper tail holds at the default coverage, so the kept tail
+        is cut back block after block and its rank lands among the 1e6s."""
         values = np.random.default_rng(5).standard_normal((20_000, 3))
         values[::14] = 1e6
         for coverage in (analysis.DENSITY_COVERAGE, 0.5):
