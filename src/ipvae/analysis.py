@@ -325,6 +325,7 @@ def denoise_all(
     """
     check_threshold(threshold)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    data_range(values)  # a constant decay is rejected before any draw
 
     def finish(rows, *quantiles):  # each group's metrics, computed in the pool
         return *quantiles, rmse(values[rows], quantiles[0]), peak_snr(values[rows], quantiles[0])

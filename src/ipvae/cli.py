@@ -38,20 +38,26 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _echo_config(out_dir, command: str, args: argparse.Namespace, **extra) -> None:
+def _finish(args, message: str, summary: dict | None = None, **extra) -> int:
+    """Every command's last step: write ``summary.json`` (when given) and the
+    ``config.json`` echo of the resolved flags, then print ``message``."""
+    if summary is not None:
+        _write_json(os.path.join(args.out, "summary.json"), summary)
     resolved = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
     }
     _write_json(
-        os.path.join(out_dir, "config.json"),
+        os.path.join(args.out, "config.json"),
         {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "args": resolved,
             **extra,
         },
     )
+    print(message)
+    return 0
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -65,6 +71,9 @@ def _parse_range(text: str) -> tuple[float, float]:
 # built: bench holds --sweep-n decays per level, 320 KB at the default 2000
 # decays of 20 windows (320 MB for 1000 levels).
 _MAX_SIGMAS = 1000
+# The most decays a bench sweep may hold over all its levels, checked before
+# the model is read: the most levels at the default --sweep-n
+_MAX_SWEEP_DECAYS = _MAX_SIGMAS * 2000
 # The most amplitude bins a density chart may have, checked before the
 # corpus is read: each chart's (bins, d) counts and grid take 1.6 MB apiece
 # at 20 windows for 10 000 bins
@@ -98,6 +107,11 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise ValueError(f"{flag} must be {rule}, got {value}")
 
 
+def _train_config(args, **fields) -> TrainConfig:
+    return TrainConfig(seed=args.seed, lr=args.lr, batch_size=args.batch_size,
+                       epochs=args.epochs, kl_weight=args.kl_weight, **fields)
+
+
 def _out_dir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -125,21 +139,11 @@ def cmd_synth(args) -> int:
     data_mod.write_decays(DecaySet(values, scheme), os.path.join(out, "ground_truth.csv"))
     data_mod.contaminate_corpus(values, spec)
     data_mod.write_decays(DecaySet(values, scheme), os.path.join(out, "contaminated.csv"))
-    _echo_config(out, "synth", args)
-    print(f"synth: wrote {spec.n} decay pairs to {out}")
-    return 0
+    return _finish(args, f"synth: wrote {spec.n} decay pairs to {out}")
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(
-        seed=args.seed,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        kl_weight=args.kl_weight,
-        latent_dim=args.latent,
-        standardize=not args.no_standardize,
-    )
+    config = _train_config(args, latent_dim=args.latent, standardize=not args.no_standardize)
     values = data_mod.read_decays(args.corpus).values
     model, curve = vae_mod.train_new(values, config)
     out = _out_dir(args)
@@ -149,22 +153,18 @@ def cmd_train(args) -> int:
                 np.arange(1, len(curve) + 1), curve)
     smoothed = vae_mod.smooth_curve(curve[:, 0])
     total, nll, kl = analysis.loss_at_convergence(curve)
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "steps": len(curve),
-            "final_smoothed_total": float(smoothed[-1]),
-            "min_smoothed_total": float(smoothed.min()),
-            "converged_total": total,
-            "converged_nll": nll,
-            "converged_kl": kl,
-            "input_offset": model.input_offset,
-            "input_scale": model.input_scale,
-        },
-    )
-    _echo_config(out, "train", args, ae_mode=(args.kl_weight == 0.0))
-    print(f"train: {len(curve)} steps, model at {model_path}")
-    return 0
+    summary = {
+        "steps": len(curve),
+        "final_smoothed_total": float(smoothed[-1]),
+        "min_smoothed_total": float(smoothed.min()),
+        "converged_total": total,
+        "converged_nll": nll,
+        "converged_kl": kl,
+        "input_offset": model.input_offset,
+        "input_scale": model.input_scale,
+    }
+    return _finish(args, f"train: {len(curve)} steps, model at {model_path}", summary,
+                   ae_mode=(args.kl_weight == 0.0))
 
 
 def cmd_denoise(args) -> int:
@@ -202,20 +202,14 @@ def cmd_denoise(args) -> int:
             f" {float(np.median(rmse)):.3g} mV/V",
             file=sys.stderr,
         )
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "n": len(values),
-            "n_outliers": n_outliers,
-            "threshold_mv_per_v": args.threshold,
-            "mean_rmse_mv_per_v": float(np.mean(rmse)),
-            "mean_finite_peak_snr_db": float(finite.mean()) if finite.size else None,
-            "n_infinite_peak_snr": int(np.sum(~np.isfinite(snr))),
-        },
-    )
-    _echo_config(out, "denoise", args)
-    print(f"denoise: {len(values)} decays, {n_outliers} flagged")
-    return 0
+    return _finish(args, f"denoise: {len(values)} decays, {n_outliers} flagged", {
+        "n": len(values),
+        "n_outliers": n_outliers,
+        "threshold_mv_per_v": args.threshold,
+        "mean_rmse_mv_per_v": float(np.mean(rmse)),
+        "mean_finite_peak_snr_db": float(finite.mean()) if finite.size else None,
+        "n_infinite_peak_snr": int(np.sum(~np.isfinite(snr))),
+    })
 
 
 def cmd_bench(args) -> int:
@@ -228,7 +222,11 @@ def cmd_bench(args) -> int:
     _require(all(0 <= s < np.inf for s in sigmas) and len(set(sigmas)) == len(sigmas) >= 2,
              "--sigmas", "at least two distinct finite values >= 0 to fit a slope",
              repr(args.sigmas))
+    _require(len(sigmas) * args.sweep_n <= _MAX_SWEEP_DECAYS, "--sweep-n",
+             f"at most {_MAX_SWEEP_DECAYS // len(sigmas)} for {len(sigmas)} noise levels",
+             args.sweep_n)
     model = vae_mod.load(args.model)
+    methods = analysis.BENCH_METHODS
     table = analysis.denoising_benchmark(
         model, args.n, (args.sigma,), seed=args.seed, n_realizations=args.realizations
     )[args.sigma]
@@ -236,8 +234,8 @@ def cmd_bench(args) -> int:
     write_table(
         os.path.join(out, "comparison.csv"),
         "method,mean_rmse_mv_per_v,std_rmse_mv_per_v",
-        np.array(analysis.BENCH_METHODS),
-        np.array([table[m] for m in analysis.BENCH_METHODS]),
+        np.array(methods),
+        np.array([table[m] for m in methods]),
     )
     sweep = analysis.denoising_benchmark(
         model,
@@ -246,7 +244,6 @@ def cmd_bench(args) -> int:
         seed=args.seed + 1,
         n_realizations=args.realizations,
     )
-    methods = analysis.BENCH_METHODS
     write_table(
         os.path.join(out, "noise_sweep.csv"),
         "sigma_mv_per_v,method,mean_rmse_mv_per_v,std_rmse_mv_per_v",
@@ -258,33 +255,18 @@ def cmd_bench(args) -> int:
         m: analysis.fitted_slope(
             np.asarray(sigmas), np.asarray([sweep[s][m][0] for s in sigmas])
         )
-        for m in analysis.BENCH_METHODS
+        for m in methods
     }
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "table_sigma_mv_per_v": args.sigma,
-            "table_mean_rmse": {m: table[m][0] for m in analysis.BENCH_METHODS},
-            "sweep_sigmas": list(sigmas),
-            "sweep_slopes": slopes,
-        },
-    )
-    _echo_config(out, "bench", args)
-    print(
-        "bench: "
-        + "  ".join(f"{m}={table[m][0]:.3f}" for m in analysis.BENCH_METHODS)
-    )
-    return 0
+    return _finish(args, "bench: " + "  ".join(f"{m}={table[m][0]:.3f}" for m in methods), {
+        "table_sigma_mv_per_v": args.sigma,
+        "table_mean_rmse": {m: table[m][0] for m in methods},
+        "sweep_sigmas": list(sigmas),
+        "sweep_slopes": slopes,
+    })
 
 
 def cmd_sweep(args) -> int:
-    config = TrainConfig(
-        seed=args.seed,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        kl_weight=args.kl_weight,
-    )
+    config = _train_config(args)
     ks = _parse_ks(args.ks)
     for k in ks:
         replace(config, latent_dim=k)  # validates each width before any I/O
@@ -301,17 +283,12 @@ def cmd_sweep(args) -> int:
         np.array([r.latent_dim for r in rows]),
         np.array([[r.nll, r.kl, r.train_snr_db, r.train_rmse, r.dlc_diff] for r in rows]),
     )
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "ks": list(ks),
-            "train_rmse": {str(r.latent_dim): r.train_rmse for r in rows},
-            "dlc_diff": {str(r.latent_dim): r.dlc_diff for r in rows},
-        },
-    )
-    _echo_config(out, "sweep", args)
-    print("sweep: " + "  ".join(f"K={r.latent_dim}:{r.train_rmse:.3f}" for r in rows))
-    return 0
+    message = "sweep: " + "  ".join(f"K={r.latent_dim}:{r.train_rmse:.3f}" for r in rows)
+    return _finish(args, message, {
+        "ks": list(ks),
+        "train_rmse": {str(r.latent_dim): r.train_rmse for r in rows},
+        "dlc_diff": {str(r.latent_dim): r.dlc_diff for r in rows},
+    })
 
 
 def cmd_report(args) -> int:
@@ -365,20 +342,14 @@ def cmd_report(args) -> int:
                       *(f"w{j + 1}" for j in range(model.input_dim))]),
             edges[:-1], edges[1:], chart.grid,
         )
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "n": len(values),
-            "histogram_total": hist.total,
-            "n_infinite_peak_snr": hist.inf_count,
-            "dlc_difference": dlc,
-            "latent_chargeability_r": list(corr),
-            "amplitude_range_mv_per_v": list(corpus_chart.amplitude_range),
-        },
-    )
-    _echo_config(out, "report", args)
-    print(f"report: {len(values)} decays summarized in {out}")
-    return 0
+    return _finish(args, f"report: {len(values)} decays summarized in {out}", {
+        "n": len(values),
+        "histogram_total": hist.total,
+        "n_infinite_peak_snr": hist.inf_count,
+        "dlc_difference": dlc,
+        "latent_chargeability_r": list(corr),
+        "amplitude_range_mv_per_v": list(corpus_chart.amplitude_range),
+    })
 
 
 # --- parser ------------------------------------------------------------------
@@ -394,6 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True,
                        help="RNG seed (required; runs must be reproducible)")
         p.add_argument("--out", required=True, help="output directory")
+
+    def add_training(p):
+        p.add_argument("--kl-weight", type=float, default=1.0,
+                       help="KL weight beta; 0 trains a plain autoencoder")
+        p.add_argument("--lr", type=float, default=1e-3)
+        p.add_argument("--batch-size", type=int, default=32)
+        p.add_argument("--epochs", type=int, default=1)
 
     p = sub.add_parser("synth", help="generate a synthetic decay corpus")
     p.add_argument("--n", type=int, required=True, help="corpus size")
@@ -413,11 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a decay corpus")
     p.add_argument("--corpus", required=True, help="decay CSV to train on")
     p.add_argument("--latent", type=int, default=2, help="latent width K (default 2)")
-    p.add_argument("--kl-weight", type=float, default=1.0,
-                   help="KL weight beta; 0 trains a plain autoencoder")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=1)
+    add_training(p)
     p.add_argument("--no-standardize", action="store_true",
                    help="feed raw mV/V without the affine input transform")
     add_common(p)
@@ -447,10 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train and compare several latent widths")
     p.add_argument("--corpus", required=True)
     p.add_argument("--ks", default="1,2,4,6", help="latent widths, comma separated")
-    p.add_argument("--kl-weight", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=1)
+    add_training(p)
     p.add_argument("--realizations", type=int, default=100)
     add_common(p)
     p.set_defaults(func=cmd_sweep)

@@ -789,37 +789,77 @@ def _decay_set(table: np.ndarray, columns: list[str], scheme: WindowScheme) -> D
     return DecaySet(values=table, scheme=scheme, **meta)
 
 
-def _read_lines(lines: list[str], columns: list[str], scheme: WindowScheme, path) -> DecaySet:
-    """Parse data lines one at a time, naming the first bad line and column."""
+def _read_lines(lines, columns: list[str], scheme: WindowScheme, path) -> DecaySet:
+    """Parse data lines one at a time, naming the first bad line and column.
+
+    The parsed rows, window columns first, fill a table that grows by
+    doubling, and DecaySet's rules are applied once, to all of them. Only
+    when those fail is the first row that breaks one looked for, by halving,
+    so that the error names the same line and rule as a check of each row
+    as it was read; a rule broken before an unparsable line is reported
+    first, for the same reason.
+    """
     index = {name: i for i, name in enumerate(columns)}
     names = [f"m{j + 1}" for j in range(scheme.count)] + list(_META_COLUMNS[1:])
-    rows = []
+    parsers = [(index[name], _opt_float if name in _META_COLUMNS else float, name)
+               for name in names]
+    table = np.empty((1024, len(names)))
+    n, blank, fault = 0, [], None
     for line_no, line in enumerate(lines, start=3):
         if not line.strip():
+            blank.append(line_no)
             continue
-        fields = line.split(",")
+        fields = line.rstrip("\n").split(",")
         if len(fields) != len(columns):
-            raise DecayFormatError(
+            fault = DecayFormatError(
                 f"{path}: line {line_no}: expected {len(columns)} fields"
                 f" ({scheme.count} windows), got {len(fields)}"
             )
-        row = np.zeros(len(fields))
-        for name in names:
-            token = fields[index[name]]
-            try:
-                row[index[name]] = _opt_float(token) if name in _META_COLUMNS else float(token)
-            except ValueError as exc:
-                raise DecayFormatError(
-                    f"{path}: line {line_no}, column '{name}': not a number: {token!r}"
-                ) from exc
+            break
+        row = []
         try:
-            _decay_set(row[None, :].copy(), columns, scheme)  # row is kept
+            for i, parse, name in parsers:
+                row.append(parse(fields[i]))
         except ValueError as exc:
+            fault = DecayFormatError(
+                f"{path}: line {line_no}, column '{name}': not a number: {fields[i]!r}")
+            fault.__cause__ = exc
+            break
+        if n == len(table):
+            table.resize((2 * n, len(names)), refcheck=False)
+        table[n] = row
+        n += 1
+    if n:
+        table.resize((n, len(names)), refcheck=False)
+        meta = table[:, scheme.count:].copy()  # _decay_set uses up the table
+        try:
+            decays = _decay_set(table, names, scheme)
+        except ValueError:
+            # _decay_set has left the window values in the table
+            bad, exc = _first_fault(table, meta, scheme)
+            line_no = bad + 3
+            for skipped in blank:  # each blank line above the row moves it down
+                line_no += skipped <= line_no
             raise DecayFormatError(f"{path}: line {line_no}: {exc}") from exc
-        rows.append(row)
-    if not rows:
-        raise DecayFormatError(f"{path}: no decay rows found")
-    return _decay_set(np.array(rows), columns, scheme)
+        if fault is None:
+            return decays
+    raise fault or DecayFormatError(f"{path}: no decay rows found")
+
+
+def _first_fault(values: np.ndarray, meta: np.ndarray, scheme: WindowScheme):
+    """Index of the first row of a rejected table that DecaySet rejects on
+    its own, and the error it raises for that row."""
+    lo, hi = 0, len(values)  # a row in [lo, hi) breaks a rule, and none before lo
+    while True:
+        mid = lo + max(1, (hi - lo) // 2)
+        try:
+            DecaySet(values[lo:mid], scheme, *meta[lo:mid].T)
+        except ValueError as exc:
+            if mid == lo + 1:
+                return lo, exc
+            hi = mid
+        else:
+            lo = mid
 
 
 def read_decays(path) -> DecaySet:
@@ -855,5 +895,6 @@ def read_decays(path) -> DecaySet:
         except ValueError:
             pass  # any fault is reported by the per-line parse below
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    return _read_lines(lines[2:], columns, scheme, path)
+        for _ in range(2):
+            fh.readline()  # the header lines, parsed above
+        return _read_lines(fh, columns, scheme, path)

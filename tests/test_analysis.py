@@ -160,6 +160,17 @@ class TestDenoise:
         with pytest.raises(ValueError, match="realizations"):
             denoise_all(model, decays[:1], n_realizations=1, rng=9)
 
+    def test_constant_decay_rejected_before_any_draw(self, small_model, small_corpus):
+        model, _ = small_model
+        values = small_corpus[1][:600].copy()
+        values[300] = 5.0  # in the second noise group
+        rng = np.random.default_rng(11)
+        state = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(ValueError) as exc_info:
+            denoise_all(model, values, n_realizations=10, rng=rng)
+        assert str(exc_info.value) == "peak S/N is undefined for a constant input (zero range)"
+        assert rng.bit_generator.state == state
+
     def test_threshold_controls_flag(self, small_model, small_corpus):
         model, _ = small_model
         _, decays = small_corpus

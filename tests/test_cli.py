@@ -6,12 +6,13 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+from datetime import datetime, timedelta
 from multiprocessing.pool import RemoteTraceback
 
 import numpy as np
 import pytest
 
-from ipvae import analysis, data, vae
+from ipvae import __version__, analysis, data, vae
 from ipvae.cli import _parse_sigmas, _write_json, main
 from ipvae.data import write_table
 
@@ -84,6 +85,48 @@ def with_constant_decay(pipeline, tmp_path):
     return corpus
 
 
+def stdout_line(command, out, summary) -> str:
+    """The one line a command prints when it succeeds, from its summary."""
+    if command == "synth":
+        return f"synth: wrote 20 decay pairs to {out}"
+    if command == "train":
+        return f"train: {summary['steps']} steps, model at {out / 'model.ipvae'}"
+    if command == "denoise":
+        return f"denoise: 400 decays, {summary['n_outliers']} flagged"
+    if command == "bench":
+        rmse = summary["table_mean_rmse"]
+        return "bench: " + "  ".join(f"{m}={rmse[m]:.3f}" for m in analysis.BENCH_METHODS)
+    if command == "sweep":
+        return "sweep: " + "  ".join(f"K={k}:{v:.3f}" for k, v in summary["train_rmse"].items())
+    return f"report: 400 decays summarized in {out}"
+
+
+@pytest.mark.parametrize("command", list(DATA_FILES))
+def test_config_echo_summary_and_stdout_line(pipeline, tmp_path, capsys, command):
+    """Every command ends alike: summary.json (all but synth), the config.json
+    echo of its resolved flags, and one line on stdout."""
+    corpus = pipeline / "synth" / "contaminated.csv"
+    model = pipeline / "train" / "model.ipvae"
+    flags = {
+        "synth": ["--n", 20],
+        "train": ["--corpus", corpus],
+        "denoise": ["--model", model, "--input", corpus, "--realizations", 10],
+        "bench": ["--model", model, "--n", 100, "--sweep-n", 50, "--realizations", 10],
+        "sweep": ["--corpus", corpus, "--ks", "1,2", "--realizations", 10],
+        "report": ["--model", model, "--corpus", corpus, "--realizations", 10],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, *flags, "--seed", 9, "--out", out) == 0
+    echo = strict_json(out / "config.json")
+    assert (echo["command"], echo["version"], echo["args"]["seed"]) == (command, __version__, 9)
+    assert datetime.fromisoformat(echo["timestamp_utc"]).utcoffset() == timedelta(0)
+    assert echo.get("ae_mode") is (False if command == "train" else None)
+    assert (out / "summary.json").exists() is (command != "synth")
+    summary = strict_json(out / "summary.json") if command != "synth" else None
+    assert capsys.readouterr().out == stdout_line(command, out, summary) + "\n"
+
+
 class TestSynth:
     def test_byte_identical_reruns(self, tmp_path):
         for d in ("a", "b"):
@@ -130,13 +173,6 @@ class TestSynth:
         for name, values in zip(DATA_FILES["synth"], data.synthesize_corpus(spec)):
             data.write_decays(data.DecaySet(values), tmp_path / name)
             assert filecmp.cmp(tmp_path / "cli" / name, tmp_path / name, shallow=False)
-
-    def test_config_echo_written(self, tmp_path):
-        assert run("synth", "--n", 20, "--seed", 9, "--out", tmp_path) == 0
-        echo = json.loads((tmp_path / "config.json").read_text())
-        assert echo["command"] == "synth"
-        assert echo["args"]["seed"] == 9
-        assert "timestamp_utc" in echo
 
 
 class TestTrain:
@@ -487,6 +523,9 @@ class TestBench:
         # 10^12 levels: refused before any of them is built
         ("--sigmas", "0:1e6:1e-6",
          "bad sigma sweep '0:1e6:1e-6': 1000000000001 levels, at most 1000"),
+        # 7 default levels x 300 000 decays: more than 2 000 000 in the sweep
+        ("--sweep-n", 300_000,
+         "--sweep-n must be at most 285714 for 7 noise levels, got 300000"),
     ])
     def test_bad_flag_rejected_before_model_load(self, tmp_path, capsys, flag, value,
                                                  message):

@@ -890,6 +890,56 @@ class TestBulkReader:
         edit_lines(path, edit)
         assert np.array_equal(read_decays(path).values, noisy)
 
+    def test_per_line_rows_checked_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "loose.csv"
+        noisy = write_corpus(path, 5, 14)
+
+        def edit(lines):
+            for line_no in range(3, 8):
+                set_field(lines, line_no, "id", f"st-{line_no}")
+            lines.insert(4, "   ")
+
+        edit_lines(path, edit)
+        calls = []
+        decay_set = data._decay_set
+        monkeypatch.setattr(data, "_decay_set", lambda *a: calls.append(1) or decay_set(*a))
+        assert np.array_equal(read_decays(path).values, noisy)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("blanks", [0, 1, 3])
+    def test_rule_fault_names_its_line_past_blank_lines(self, tmp_path, blanks):
+        """Text ids send the file to the per-line parser, which checks the
+        rows together and then finds the first row that breaks a rule."""
+        path = tmp_path / "bad.csv"
+        write_corpus(path, 40, 16)
+
+        def edit(lines):
+            set_field(lines, 3, "id", "st-0")
+            set_field(lines, 30, "m2", "inf")
+            set_field(lines, 35, "vp_mv", "-1")
+            for _ in range(blanks):
+                lines.insert(10, "")
+            lines.insert(40, " ")  # after the bad rows: moves neither
+
+        edit_lines(path, edit)
+        with pytest.raises(DecayFormatError) as exc_info:
+            read_decays(path)
+        assert str(exc_info.value) == (
+            f"{path}: line {30 + blanks}: column 'm2': non-finite window value")
+
+    def test_rule_fault_before_unparsable_line_reported_first(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_corpus(path, 10, 16)
+
+        def edit(lines):
+            set_field(lines, 6, "label", "101")
+            set_field(lines, 9, "m3", "abc")
+
+        edit_lines(path, edit)
+        with pytest.raises(DecayFormatError) as exc_info:
+            read_decays(path)
+        assert str(exc_info.value) == f"{path}: line 6: label must lie in [0, 100], got 101.0"
+
     def test_hash_line_is_data_not_comment(self, tmp_path):
         path = tmp_path / "hash.csv"
         write_corpus(path, 3, 15)
