@@ -208,9 +208,12 @@ class _Workspace:
 def _denoise_rows(shared, rows: slice):
     """``finish(rows, median, ci_low, ci_high)`` of the noise group ``rows``,
     whose 0.5, 0.025 and 0.975 quantiles, (c, d) each, are decoded block by
-    block. The rows of ``mu`` are levels of n rows, stacked; the group's
-    noise stream is keyed by its place in its level, under the level's
-    root.
+    block. ``rows`` counts level l's decay i of the (L, n, d) stack
+    ``levels`` as l·n + i; the group encodes its own decays, and its noise
+    stream is keyed by its place in its level, under the level's root. A
+    one-row product goes through gemv, whose sums round differently from
+    gemm's, so a one-row last group of a longer level is encoded with the
+    row before it.
 
     Each block is decoded in this process's :class:`_Workspace` of the call
     and sorted in standardized units; only the values at the quantiles'
@@ -218,18 +221,22 @@ def _denoise_rows(shared, rows: slice):
     is monotone in IEEE arithmetic for a scale > 0, so these are the order
     statistics of the unstandardized values, bit for bit.
     """
-    model, mu, sigma, n, realizations, roots, block, finish, workspace = shared
+    model, levels, realizations, roots, block, finish, workspace = shared
+    n, count = levels.shape[1], rows.stop - rows.start
     level, offset = divmod(rows.start, n)
+    first = offset - (count == 1 < n)  # a one-row last group takes the row before it
+    mu, sigma = (part[offset - first:] for part in
+                 vae_mod.encode(model, levels[level, first:offset + count]))
     rng = np.random.default_rng(
         np.random.SeedSequence(roots[level], spawn_key=(offset // _NOISE_ROWS,)))
     if not workspace:
         workspace.append(_Workspace(model, realizations, min(block, n, _NOISE_ROWS),
                                     min(n, _NOISE_ROWS)))
     ws = workspace[0]
-    picked = ws.picked[:rows.stop - rows.start]
-    for start in range(0, len(picked), block):
-        m = min(block, len(picked) - start)
-        own = slice(rows.start + start, rows.start + start + m)
+    picked = ws.picked[:count]
+    for start in range(0, count, block):
+        m = min(block, count - start)
+        own = slice(start, start + m)
         z = ws.z[:m]
         rng.standard_normal(out=z)
         np.copyto(ws.mu[:m], mu[own, None])
@@ -272,14 +279,13 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
     a call on those m rows alone, and results depend neither on the block
     size nor on the pool.
 
-    Each level is encoded here on its own, in :func:`vae.encode`'s blocks,
-    straight into the stack's posterior arrays.
-    Each group is one task, decoded in blocks whose R samples pass the
-    decoder's widest layer in at most 2^18 multiply-adds (8 rows for the
-    default model at R=100), which OpenBLAS runs on the calling thread; a
-    block's noise is drawn as it is decoded, so memory does not grow with
-    R. From 2^18 samples (L·n·R) on, a ``fork`` pool decodes the groups on
-    every usable core; only ``finish``'s results come back.
+    Each group is one task: it encodes its own decays, then decodes them in
+    blocks whose R samples pass the decoder's widest layer in at most 2^18
+    multiply-adds (8 rows for the default model at R=100), which OpenBLAS
+    runs on the calling thread; a block's noise is drawn as it is decoded,
+    so memory does not grow with R, and the parent holds no posterior. From
+    2^18 samples (L·n·R) on, a ``fork`` pool runs the groups on every
+    usable core; only ``finish``'s results come back.
     """
     check_realizations(n_realizations)
     if levels.ndim != 3:
@@ -287,17 +293,15 @@ def denoise_matrix(model: VaeModel, levels: np.ndarray, n_realizations: int,
     if not 0.0 < model.input_scale < math.inf:  # see _denoise_rows
         raise ValueError(f"model input_scale must be finite and > 0, got {model.input_scale}")
     n_levels, n, d = levels.shape
+    if d != model.input_dim:  # before any group runs
+        raise ValueError(f"input dim {d} does not match model dim {model.input_dim}")
     roots = np.random.default_rng(rng).integers(2**63, size=(n_levels, 2))
-    mu, sigma = (np.empty((n_levels, n, model.latent_dim)) for _ in range(2))
-    for level, values in enumerate(levels):
-        vae_mod._encode_into(model, values, mu[level], sigma[level])
     if n == 0:  # no group gives the results' shapes
         return finish(slice(0, 0), *(np.empty((0, d)) for _ in range(3)))
     ranges = [slice(level * n + start, level * n + min(start + _NOISE_ROWS, n))
               for level in range(n_levels) for start in range(0, n, _NOISE_ROWS)]
     block = vae_mod._block_rows(model.decoder.layers, n_realizations)
-    shared = (model, mu.reshape(-1, model.latent_dim), sigma.reshape(-1, model.latent_dim),
-              n, n_realizations, roots, block, finish, [])  # [] holds the _Workspace
+    shared = (model, levels, n_realizations, roots, block, finish, [])  # [] holds the _Workspace
     pooled = n_levels * n * n_realizations >= _POOL_MIN_SAMPLES
     out = None
     with data._map_rows(_denoise_rows, shared, ranges, pooled) as done:

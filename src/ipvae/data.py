@@ -894,6 +894,7 @@ def read_decays(path) -> DecaySet:
                 return _decay_set(table, columns, scheme)
         except ValueError:
             pass  # any fault is reported by the per-line parse below
+        table = None  # a table that DecaySet's rules rejected is freed before the re-read
     with open(path, "r", encoding="utf-8") as fh:
         for _ in range(2):
             fh.readline()  # the header lines, parsed above

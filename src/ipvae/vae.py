@@ -249,22 +249,15 @@ def encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, single = _as_batch(x, model.input_dim, "input")
     mu = np.empty((len(x), model.latent_dim))
     sigma = np.empty_like(mu)
-    _encode_into(model, x, mu, sigma)
-    if single:
-        return mu[0], sigma[0]
-    return mu, sigma
-
-
-def _encode_into(model: VaeModel, x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> None:
-    """Write :func:`encode`'s (mu, sigma) of the (n, d) raw values ``x``
-    into the (n, K) arrays ``mu`` and ``sigma``, block by block."""
-    x, _ = _as_batch(x, model.input_dim, "input")
     (w_mu, b_mu), (w_lv, b_lv) = model.mu_head, model.logvar_head
     layers = [*model.encoder.layers, model.mu_head, model.logvar_head]
     for rows in _row_blocks(len(x), layers):
         h = model.encoder.forward(_standardize(model, x[rows]))
         mu[rows] = h @ w_mu.T + b_mu
         sigma[rows] = np.exp(0.5 * (h @ w_lv.T + b_lv))
+    if single:
+        return mu[0], sigma[0]
+    return mu, sigma
 
 
 def reparametrize(
@@ -280,9 +273,13 @@ def reparametrize(
 
 
 def decode(model: VaeModel, z: np.ndarray) -> np.ndarray:
-    """Decoder mean for latent z, in raw mV/V. Accepts (K,) or (n, K)."""
+    """Decoder mean for latent z, in raw mV/V. Accepts (K,) or (n, K); a
+    batch is decoded in the blocks of :func:`_row_blocks`, with the bits of
+    one pass over the whole batch."""
     z, single = _as_batch(z, model.latent_dim, "latent")
-    out = _unstandardize(model, model.decoder.forward(z))
+    out = np.empty((len(z), model.input_dim))
+    for rows in _row_blocks(len(z), model.decoder.layers):
+        out[rows] = _unstandardize(model, model.decoder.forward(z[rows]))
     return out[0] if single else out
 
 
@@ -507,11 +504,7 @@ def sample_matrix(
     if sigma_scale < 0:
         raise ValueError(f"sigma_scale must be >= 0, got {sigma_scale}")
     rng = np.random.default_rng(rng)
-    z = sigma_scale * rng.standard_normal((n, model.latent_dim))
-    out = np.empty((n, model.input_dim))
-    for rows in _row_blocks(n, model.decoder.layers):
-        out[rows] = decode(model, z[rows])
-    return out
+    return decode(model, sigma_scale * rng.standard_normal((n, model.latent_dim)))
 
 
 # --- persistence -------------------------------------------------------------

@@ -405,15 +405,33 @@ def force_pool(m, any_size):
     threshold = 0 if any_size else analysis._POOL_MIN_SAMPLES
 
     def in_worker(shared, rows):
-        _, mu, _, _, realizations, *_ = shared
-        if (os.getpid() == parent and len(mu) > analysis._NOISE_ROWS
-                and realizations * len(mu) >= threshold):
+        _, levels, realizations, *_ = shared
+        decays = levels.shape[0] * levels.shape[1]
+        if (os.getpid() == parent and decays > analysis._NOISE_ROWS
+                and realizations * decays >= threshold):
             raise AssertionError("groups decoded outside the pool")
         return denoise_rows(shared, rows)
 
     m.setattr(data, "_usable_cpus", lambda: 3)
     m.setattr(analysis, "_POOL_MIN_SAMPLES", threshold)
     m.setattr(analysis, "_denoise_rows", in_worker)
+
+
+def test_window_count_mismatch_rejected_before_any_group(monkeypatch, small_model,
+                                                        small_corpus):
+    """A stack whose window count is not the model's is rejected in the
+    parent, before the root draw and before any group runs."""
+    model, _ = small_model
+    levels = small_corpus[1][None, :20_000, :19]
+    rng = np.random.default_rng(9)
+    before, mapped = rng.bit_generator.state, []
+    with monkeypatch.context() as m:
+        force_pool(m, any_size=True)
+        map_rows = data._map_rows
+        m.setattr(data, "_map_rows", lambda *args: mapped.append(args) or map_rows(*args))
+        with pytest.raises(ValueError, match="^input dim 19 does not match model dim 20$"):
+            denoise_matrix(model, levels, 100, rng, lambda rows, *bands: bands)
+    assert mapped == [] and rng.bit_generator.state == before
 
 
 class TestPooledDenoise:
@@ -902,10 +920,9 @@ class TestModelChart:
         two and 25."""
         model, _ = small_model
         corpus_chart = density_chart(small_corpus[1][:5000], bins=bins)
-        decoded = []
-        decode = vae_mod.decode
-        monkeypatch.setattr(vae_mod, "decode",
-                            lambda model, z: decoded.append(z.shape) or decode(model, z))
+        decoded, forward = [], nn.Mlp.forward
+        monkeypatch.setattr(nn.Mlp, "forward",
+                            lambda mlp, z: decoded.append(z.shape) or forward(mlp, z))
         for n in (1, 2, 3, 819, 820, 3000, 20_000):
             rng, expected_rng = np.random.default_rng(7), np.random.default_rng(7)
             chart = analysis.model_chart(model, n, corpus_chart, rng)

@@ -127,6 +127,22 @@ def test_config_echo_summary_and_stdout_line(pipeline, tmp_path, capsys, command
     assert capsys.readouterr().out == stdout_line(command, out, summary) + "\n"
 
 
+def test_window_count_mismatch_rejected(pipeline, tmp_path, capsys):
+    """A 19-window survey of a pooled size (20k decays) against the
+    20-window model: denoise and report exit 3 before any group runs and
+    leave no output file."""
+    assert run("synth", "--n", 20_000, "--windows", 19, "--seed", 1,
+               "--out", tmp_path / "synth") == 0
+    corpus = tmp_path / "synth" / "contaminated.csv"
+    for command, flag in (("denoise", "--input"), ("report", "--corpus")):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert run(command, "--model", pipeline / "train" / "model.ipvae", flag, corpus,
+                   "--seed", 3, "--out", out) == 3
+        assert capsys.readouterr().err == "error: input dim 19 does not match model dim 20\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestSynth:
     def test_byte_identical_reruns(self, tmp_path):
         for d in ("a", "b"):

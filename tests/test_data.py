@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from contextlib import contextmanager
 from multiprocessing.pool import RemoteTraceback
 
@@ -962,6 +963,31 @@ class TestBulkReader:
         with pytest.raises(DecayFormatError) as exc_info:
             read_decays(path)
         assert str(exc_info.value) == f"{path}: {message}"
+
+    def test_rejected_bulk_table_freed_before_re_read(self, tmp_path, monkeypatch):
+        """A table that the bulk pass parsed and DecaySet's rules rejected
+        is freed before the per-line parser reads the file again."""
+        path = tmp_path / "bad.csv"
+        write_corpus(path, 3, 16)
+        edit_lines(path, lambda lines: set_field(lines, 4, "m7", "inf"))
+        parsed, alive = [], []
+        loadtxt, read_lines = np.loadtxt, data._read_lines
+
+        def bulk(*args, **kwargs):
+            table = loadtxt(*args, **kwargs)
+            parsed.append(weakref.ref(table))
+            return table
+
+        def per_line(*args):
+            alive.append(parsed[0]() is not None)
+            return read_lines(*args)
+
+        monkeypatch.setattr(np, "loadtxt", bulk)
+        monkeypatch.setattr(data, "_read_lines", per_line)
+        with pytest.raises(DecayFormatError) as exc_info:
+            read_decays(path)
+        assert str(exc_info.value) == f"{path}: line 4: column 'm7': non-finite window value"
+        assert len(parsed) == 1 and alive == [False]
 
     def test_short_row_message(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ipvae import vae as vae_mod
+from ipvae.data import _split_rows
+from ipvae.nn import Mlp
 from ipvae.vae import (
     MODEL_HEADER,
     ModelDimensionError,
@@ -376,13 +378,21 @@ class TestSample:
         assert sample_matrix(model, 5, rng=13).shape == (5, model.input_dim)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 819, 820, 1639, 4096, 4097, 8193, 20_000])
-    def test_blocks_equal_one_decode(self, small_model, n):
-        """Decoded in the fewest near-equal blocks of at most 819 rows (2^18
-        multiply-adds through the 16 -> 20 last layer), never one row alone
-        above n = 1: the bits of one decode of the whole draw."""
+    def test_blocks_equal_one_decode(self, monkeypatch, small_model, n):
+        """``decode``, and ``sample_matrix`` through it, run the decoder in
+        the fewest near-equal blocks of at most 819 rows (2^18 multiply-adds
+        through the 16 -> 20 last layer), never one row alone above n = 1:
+        the bits of one unblocked pass over the whole draw."""
         model, _ = small_model
         z = np.random.default_rng(14).standard_normal((n, model.latent_dim))
-        assert sample_matrix(model, n, 1.0, rng=14).tobytes() == decode(model, z).tobytes()
+        whole = model.decoder.forward(z) * model.input_scale + model.input_offset
+        blocks, forward = [], Mlp.forward
+        monkeypatch.setattr(Mlp, "forward",
+                            lambda self, x: blocks.append(len(x)) or forward(self, x))
+        assert decode(model, z).tobytes() == whole.tobytes()
+        assert sample_matrix(model, n, 1.0, rng=14).tobytes() == whole.tobytes()
+        assert blocks == 2 * [r.stop - r.start for r in _split_rows(n, 819)]
+        assert all(1 < rows <= 819 for rows in blocks) or n == 1
 
 
 def old_pack_payload(model):
